@@ -7,6 +7,14 @@ the senders on that path, and every agent's congestion window reacts
 otherwise). Telemetry records per-step per-path load/overflow/RTT plus
 the final windows; the metrics layer consumes nothing else.
 
+A step computes once whatever is the same for every agent: the choice
+of the shared-choice strategies, epsilon-greedy's exploit target, and
+each path's loss flag and loss-free window increment. The loops over
+agents only pick a path, add the window to that path's load in agent
+order (the same float sum as one addition per agent) and apply their
+path's outcome, with no function call per agent. Shared-choice steps
+apply one outcome to every window.
+
 Runs are pure functions of their SimConfig: all randomness flows from
 the config seed through per-agent streams.
 """
@@ -20,13 +28,11 @@ from .strategy import (
     PathView,
     StrategyKind,
     StrategyState,
+    epsilon_explore,
     select_attribute_aware,
     select_blest,
-    select_epsilon_greedy,
     select_min_load,
     select_min_rtt,
-    select_round_robin,
-    select_wrr,
     wrr_schedule,
 )
 from .topology import HIGH_COST_TAG, Topology
@@ -72,7 +78,7 @@ class EngineParams:
             raise ValueError("queue_scale_ms must be >= 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentState:
     """One flow's mutable state; owned by exactly one agent."""
 
@@ -178,25 +184,41 @@ def step(agents: list[AgentState], topology: Topology, prev_record: StepRecord |
     """Advance the simulation one step, mutating agents in place."""
     views = _views(topology, prev_record)
     strategy = config.strategy
+    aimd = config.aimd
+    mbps_per_cwnd = aimd.mbps_per_cwnd
+    loads = [0.0] * topology.path_count
 
-    if strategy.name in _STATELESS:
+    shared = strategy.name in _STATELESS
+    if shared:
         choice = _stateless_choice(strategy, views, config.forbidden_tags)
+        total = 0.0
         for agent in agents:
             agent.chosen_path = choice
-    elif strategy.name == "round_robin":
+            total += agent.cwnd * mbps_per_cwnd
+        loads[choice - 1] = total
+    elif strategy.name == "epsilon_greedy":
+        exploit = select_min_rtt(views)
+        path_ids = [view.path_id for view in views]
+        epsilon, path_count = strategy.epsilon, len(path_ids)
         for agent in agents:
-            agent.chosen_path = select_round_robin(agent.strategy_state, topology.path_count)
-    elif strategy.name == "weighted_round_robin":
-        for agent in agents:
-            agent.chosen_path = select_wrr(agent.strategy_state, schedule)
+            explored = epsilon_explore(agent.strategy_state.rng, epsilon, path_count)
+            path = exploit if explored is None else path_ids[explored]
+            agent.chosen_path = path
+            loads[path - 1] += agent.cwnd * mbps_per_cwnd
     else:
+        # the cursor walk of select_round_robin / select_wrr: round robin
+        # cycles through the path ids, WRR through its smooth schedule
+        slots = schedule if strategy.name == "weighted_round_robin" else \
+            range(1, topology.path_count + 1)
+        if not slots:
+            raise ValueError("weighted_round_robin needs its non-empty wrr_schedule")
+        period = len(slots)
         for agent in agents:
-            agent.chosen_path = select_epsilon_greedy(agent.strategy_state, views,
-                                                      strategy.epsilon)
-
-    loads = [0.0] * topology.path_count
-    for agent in agents:
-        loads[agent.chosen_path - 1] += agent.cwnd * config.aimd.mbps_per_cwnd
+            state = agent.strategy_state
+            path = slots[state.rr_cursor % period]
+            state.rr_cursor += 1
+            agent.chosen_path = path
+            loads[path - 1] += agent.cwnd * mbps_per_cwnd
 
     overflows = []
     inst_rtts = []
@@ -210,12 +232,29 @@ def step(agents: list[AgentState], topology: Topology, prev_record: StepRecord |
                               config.engine.queue_scale_ms)
         )
 
-    # any positive overflow gives every sender on that path a positive
-    # pro-rata share, so the loss flag needs no per-agent division
-    for agent in agents:
-        idx = agent.chosen_path - 1
-        agent.cwnd = update_cwnd(agent.cwnd, overflows[idx] > 0.0, inst_rtts[idx],
-                                 config.engine.step_ms, config.aimd)
+    # update_cwnd, with its per-path parts hoisted: any positive overflow
+    # gives every sender on that path a positive pro-rata share, so the
+    # loss flag needs no per-agent division, and a loss-free path grows
+    # each of its windows by the same increment
+    floor, beta = aimd.cwnd_floor, aimd.beta
+    lost = [overflow > 0.0 for overflow in overflows]
+    growth = [aimd.alpha * (config.engine.step_ms / rtt) for rtt in inst_rtts]
+    if shared and lost[choice - 1]:
+        for agent in agents:
+            cwnd = beta * agent.cwnd
+            agent.cwnd = cwnd if cwnd > floor else floor
+    elif shared:
+        increment = growth[choice - 1]
+        for agent in agents:
+            agent.cwnd += increment
+    else:
+        for agent in agents:
+            i = agent.chosen_path - 1
+            if lost[i]:
+                cwnd = beta * agent.cwnd
+                agent.cwnd = cwnd if cwnd > floor else floor
+            else:
+                agent.cwnd += growth[i]
 
     return StepRecord(step=step_index, loads=tuple(loads), overflows=tuple(overflows),
                       inst_rtts=tuple(inst_rtts))

@@ -100,10 +100,16 @@ def _worker_count() -> int:
     raw = os.environ.get("MPSIM_THREADS", "").strip()
     if not raw:
         return 1
-    n = int(raw)
+    invalid = f"MPSIM_THREADS must be a non-negative integer, got {raw!r}"
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ValueError(invalid) from None
+    if n < 0:
+        raise ValueError(invalid)
     if n == 0:
         return os.cpu_count() or 1
-    return max(1, n)
+    return n
 
 
 def sweep_agents(spec: SweepSpec) -> list[SummaryRow]:

@@ -61,7 +61,7 @@ class StrategyKind:
             raise ValueError("filter_factor must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class StrategyState:
     """Mutable per-agent strategy state; never shared between agents."""
 
@@ -149,9 +149,23 @@ def select_epsilon_greedy(state: StrategyState, views: Sequence[PathView], epsil
         raise ValueError("cannot select from an empty path view")
     if state.rng is None:
         raise ValueError("epsilon-greedy needs a seeded rng in StrategyState")
-    if state.rng.random() < epsilon:
-        return views[state.rng.randrange(len(views))].path_id
+    explored = epsilon_explore(state.rng, epsilon, len(views))
+    if explored is not None:
+        return views[explored].path_id
     return select_min_rtt(views)
+
+
+def epsilon_explore(rng: random.Random, epsilon: float, path_count: int) -> int | None:
+    """Epsilon-greedy's explore-or-exploit draw.
+
+    Returns the position of a uniformly random path to explore with
+    probability epsilon, or None to exploit. The exploit target depends
+    only on the shared view, so a caller deciding for many agents at
+    once can compute it a single time.
+    """
+    if rng.random() < epsilon:
+        return rng.randrange(path_count)
+    return None
 
 
 def select_blest(views: Sequence[PathView], filter_factor: float = DEFAULT_BLEST_FILTER) -> int:

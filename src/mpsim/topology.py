@@ -8,6 +8,7 @@ the round-robin rotation sequence.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 HIGH_COST_TAG = "high-cost"
@@ -31,6 +32,13 @@ class PathSpec:
     attributes: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        # every ordered comparison with NaN is false, so NaN would slip
+        # past the checks below; an infinite capacity or RTT would turn
+        # scores into inf or nan
+        for field in ("capacity_mbps", "base_rtt_ms"):
+            value = getattr(self, field)
+            if not math.isfinite(value):
+                raise TopologyError(f"path {self.id}: {field} must be finite, got {value!r}")
         if self.capacity_mbps <= 0:
             raise TopologyError(f"path {self.id}: capacity must be positive")
         if self.base_rtt_ms <= 0:

@@ -33,7 +33,8 @@ def smooth_wrr_slots(capacities):
 
 def naive_run(paths, strategy, num_agents, steps, seed,
               epsilon=0.1, filter_factor=1.5, forbidden=(HIGH_COST,),
-              step_ms=10.0, queue_scale=10.0, alpha=1.0, beta=0.5, floor=1.0):
+              step_ms=10.0, queue_scale=10.0, alpha=1.0, beta=0.5, floor=1.0,
+              initial_cwnd=1.0, mbps_per_cwnd=1.0):
     """Run the simulation the slow, obvious way.
 
     paths: list of dicts {"id", "cap", "rtt", "attrs"}.
@@ -41,7 +42,7 @@ def naive_run(paths, strategy, num_agents, steps, seed,
     "overflows", "rtts" lists indexed by path position.
     """
     n_paths = len(paths)
-    cwnd = [1.0] * num_agents
+    cwnd = [float(initial_cwnd)] * num_agents
     cursor = [0] * num_agents
     rngs = None
     if strategy == "epsilon_greedy":
@@ -108,7 +109,7 @@ def naive_run(paths, strategy, num_agents, steps, seed,
 
         loads = [0.0] * n_paths
         for i in range(num_agents):
-            loads[chosen[i] - 1] += cwnd[i] * 1.0
+            loads[chosen[i] - 1] += cwnd[i] * mbps_per_cwnd
 
         overflows = [0.0] * n_paths
         rtts = [0.0] * n_paths
@@ -131,3 +132,26 @@ def naive_run(paths, strategy, num_agents, steps, seed,
         prev_rtts = rtts
 
     return records, cwnd
+
+
+def oracle_agrees(telemetry):
+    """True when naive_run, given the same config, produces the same
+    per-step loads, overflows and RTTs and the same final windows bit for
+    bit. Reads the engine's Telemetry and its config by attribute only."""
+    config = telemetry.config
+    aimd, engine, strategy = config.aimd, config.engine, config.strategy
+    paths = [{"id": p.id, "cap": p.capacity_mbps, "rtt": p.base_rtt_ms,
+              "attrs": tuple(p.attributes)} for p in config.topology.paths]
+    records, cwnds = naive_run(
+        paths, strategy.name, config.num_agents, engine.steps, config.seed,
+        epsilon=strategy.epsilon, filter_factor=strategy.filter_factor,
+        forbidden=tuple(config.forbidden_tags), step_ms=engine.step_ms,
+        queue_scale=engine.queue_scale_ms, alpha=aimd.alpha, beta=aimd.beta,
+        floor=aimd.cwnd_floor, initial_cwnd=aimd.initial_cwnd,
+        mbps_per_cwnd=aimd.mbps_per_cwnd)
+    return (tuple(cwnds) == telemetry.final_cwnds
+            and len(records) == len(telemetry.records)
+            and all(tuple(ref["loads"]) == rec.loads
+                    and tuple(ref["overflows"]) == rec.overflows
+                    and tuple(ref["rtts"]) == rec.inst_rtts
+                    for ref, rec in zip(records, telemetry.records)))

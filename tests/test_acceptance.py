@@ -18,6 +18,7 @@ import math
 import random
 
 from mpsim import (
+    AimdParams,
     EngineParams,
     SimConfig,
     StrategyKind,
@@ -33,7 +34,7 @@ from mpsim import (
     timeseries_csv,
 )
 from mpsim.experiment import SummaryRow
-from reference import naive_run
+from reference import oracle_agrees
 
 STRATEGIES = ("min_rtt", "min_load", "attribute_aware", "round_robin",
               "weighted_round_robin", "epsilon_greedy", "blest")
@@ -239,31 +240,6 @@ def test_c06_min_rtt_table_reproduction():
     c.done()
 
 
-def oracle_agrees(telemetry):
-    """True when reference.naive_run, given the same config, produces the
-    same per-step loads, overflows and RTTs and the same final windows bit
-    for bit. The oracle models windows that start at 1.0 and carry 1 Mbps
-    each, so any other initial_cwnd or mbps_per_cwnd counts as a mismatch."""
-    config = telemetry.config
-    aimd, engine, strategy = config.aimd, config.engine, config.strategy
-    if aimd.initial_cwnd != 1.0 or aimd.mbps_per_cwnd != 1.0:
-        return False
-    paths = [{"id": p.id, "cap": p.capacity_mbps, "rtt": p.base_rtt_ms,
-              "attrs": tuple(p.attributes)} for p in config.topology.paths]
-    records, cwnds = naive_run(
-        paths, strategy.name, config.num_agents, engine.steps, config.seed,
-        epsilon=strategy.epsilon, filter_factor=strategy.filter_factor,
-        forbidden=tuple(config.forbidden_tags), step_ms=engine.step_ms,
-        queue_scale=engine.queue_scale_ms, alpha=aimd.alpha, beta=aimd.beta,
-        floor=aimd.cwnd_floor)
-    return (tuple(cwnds) == telemetry.final_cwnds
-            and len(records) == len(telemetry.records)
-            and all(tuple(ref["loads"]) == rec.loads
-                    and tuple(ref["overflows"]) == rec.overflows
-                    and tuple(ref["rtts"]) == rec.inst_rtts
-                    for ref, rec in zip(records, telemetry.records)))
-
-
 def test_c07_round_robin_oscillation_and_fairness():
     s = scores("round_robin", 500)
     c = Criterion("C07", f"round_robin@500 pinned at the window floor: oscillation "
@@ -395,4 +371,11 @@ def test_c15_reference_engine_equivalence():
         for agents in (1, 3, 10):
             c.expect(oracle_agrees(sim(name, agents, steps=50, seed=42)),
                      f"{name} N={agents} diverges from reference")
+        # windows that start above the floor and carry 2 Mbps each, so the
+        # scale factor on every load and the initial window are checked too
+        scaled = SimConfig(topology=default_topology(), strategy=StrategyKind(name),
+                           num_agents=10, aimd=AimdParams(initial_cwnd=3.0, mbps_per_cwnd=2.0),
+                           engine=EngineParams(steps=50), seed=42)
+        c.expect(oracle_agrees(run(scaled)),
+                 f"{name} N=10 with initial_cwnd 3, mbps_per_cwnd 2 diverges from reference")
     c.done()

@@ -1,7 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import mpsim.engine
 from mpsim import (
+    STRATEGY_NAMES,
     AimdParams,
     EngineParams,
     SimConfig,
@@ -13,6 +15,7 @@ from mpsim import (
     timeseries_csv,
     update_cwnd,
 )
+from reference import oracle_agrees
 
 AIMD = AimdParams()
 
@@ -188,6 +191,56 @@ class TestRun:
         for record in telemetry.records:
             for rtt, base in zip(record.inst_rtts, bases):
                 assert rtt >= base
+
+
+class TestAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(strategy=st.sampled_from(STRATEGY_NAMES),
+           agents=st.integers(1, 40),
+           steps=st.integers(1, 30),
+           seed=st.integers(0, 2**32),
+           epsilon=st.floats(0.0, 1.0),
+           alpha=st.floats(0.05, 4.0),
+           beta=st.floats(0.05, 0.95),
+           floor=st.floats(0.1, 3.0),
+           initial_cwnd=st.floats(0.1, 6.0),
+           mbps_per_cwnd=st.floats(0.1, 4.0))
+    def test_engine_matches_naive_reference(self, strategy, agents, steps, seed, epsilon,
+                                            alpha, beta, floor, initial_cwnd,
+                                            mbps_per_cwnd):
+        aimd = AimdParams(initial_cwnd=initial_cwnd, alpha=alpha, beta=beta,
+                          cwnd_floor=floor, mbps_per_cwnd=mbps_per_cwnd)
+        cfg = SimConfig(topology=default_topology(),
+                        strategy=StrategyKind(strategy, epsilon=epsilon),
+                        num_agents=agents, aimd=aimd, engine=EngineParams(steps=steps),
+                        seed=seed)
+        assert oracle_agrees(run(cfg))
+
+
+class TestStepContract:
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_run_calls_module_step_once_per_step(self, monkeypatch, strategy):
+        # run() must reach step() through the module global, once per
+        # step: perfbench's capture probe wraps it there and divides by
+        # its call count
+        cfg = config(strategy, agents=12, steps=9)
+        floor = cfg.aimd.cwnd_floor
+        path_count = cfg.topology.path_count
+        real_step = mpsim.engine.step
+        calls = []
+
+        def counting_step(agents, *args, **kwargs):
+            record = real_step(agents, *args, **kwargs)
+            calls.append(record.step)
+            for agent in agents:
+                assert type(agent.cwnd) is float and agent.cwnd >= floor
+                assert 1 <= agent.chosen_path <= path_count
+            return record
+
+        monkeypatch.setattr(mpsim.engine, "step", counting_step)
+        telemetry = run(cfg)
+        assert calls == list(range(cfg.engine.steps))
+        assert [r.step for r in telemetry.records] == calls
 
 
 class TestHerdInvariant:

@@ -17,6 +17,7 @@ from mpsim import (
     sweep_agents,
     sweep_epsilon,
 )
+from mpsim.cli import main
 
 STEPS = 40  # grid behavior, not absolute scores, is under test here
 
@@ -75,6 +76,20 @@ class TestSweepAgents:
             small_spec(strategies=())
         with pytest.raises(ValueError):
             small_spec(agent_counts=())
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+    def test_invalid_value_is_rejected_by_name(self, monkeypatch, value):
+        monkeypatch.setenv("MPSIM_THREADS", value)
+        with pytest.raises(ValueError, match=f"MPSIM_THREADS.*{value}"):
+            sweep_agents(small_spec(agent_counts=(10,)))
+
+    def test_invalid_value_exits_2_from_cli(self, monkeypatch, capsys):
+        monkeypatch.setenv("MPSIM_THREADS", "-3")
+        assert main(["sweep", "--strategies", "min_rtt", "--agents-list", "10",
+                     "--steps", "5"]) == 2
+        assert "MPSIM_THREADS" in capsys.readouterr().err
 
 
 class TestSweepEpsilon:

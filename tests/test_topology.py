@@ -53,6 +53,24 @@ def test_negative_rtt_rejected():
         parse_topology(cfg)
 
 
+def two_paths_with(field, value):
+    second = {"id": 2, "capacity_mbps": 100, "base_rtt_ms": 50, field: value}
+    return json.dumps({"name": "bad", "paths": [
+        {"id": 1, "capacity_mbps": 50, "base_rtt_ms": 20}, second]})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_capacity_rejected(value):
+    with pytest.raises(TopologyError, match="path 2: capacity_mbps must be finite"):
+        parse_topology(two_paths_with("capacity_mbps", value))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_base_rtt_rejected(value):
+    with pytest.raises(TopologyError, match="path 2: base_rtt_ms must be finite"):
+        parse_topology(two_paths_with("base_rtt_ms", value))
+
+
 def test_malformed_json_reports_position():
     with pytest.raises(TopologyError, match=r"line \d+, column \d+"):
         parse_topology('{"name": "x", "paths": [}')
