@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -129,6 +130,9 @@ def sweep_agents(spec: SweepSpec) -> list[SummaryRow]:
 def sweep_epsilon(epsilons, agents: int, topology: Topology,
                   steps: int = 300, seed: int = 0) -> list[EpsilonPoint]:
     """Efficiency/loss of epsilon-greedy across an exploration grid."""
+    # the line runs serially, but a bad MPSIM_THREADS fails here as it
+    # does in sweep_agents
+    _worker_count()
     points = []
     for eps in epsilons:
         kind = StrategyKind("epsilon_greedy", epsilon=eps)
@@ -194,7 +198,11 @@ def emit_epsilon(points: list[EpsilonPoint], raw: bool = False) -> str:
 
 
 def parse_summary_csv(text: str) -> list[SummaryRow]:
-    """Read back a summary CSV (raw or rounded) for re-rendering."""
+    """Read back a summary CSV (raw or rounded) for re-rendering.
+
+    A row with an unknown strategy or a number that does not parse or is
+    not finite is refused with its row (the header is row 1) and column.
+    """
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -206,18 +214,26 @@ def parse_summary_csv(text: str) -> list[SummaryRow]:
     for record in reader:
         if not record:
             continue
+        where = f"row {reader.line_num}"
         if len(record) != len(SUMMARY_HEADER):
-            raise ValueError(f"malformed row {record!r}")
-        rows.append(SummaryRow(
-            strategy=record[0],
-            agents=int(record[1]),
-            oscillation=float(record[2]),
-            loss=float(record[3]),
-            fairness=float(record[4]),
-            efficiency=float(record[5]),
-            stability=float(record[6]),
-            loss_avoidance=float(record[7]),
-        ))
+            raise ValueError(f"{where}: malformed row {record!r}")
+        if record[0] not in STRATEGY_NAMES:
+            raise ValueError(f"{where}, column 'strategy': unknown strategy {record[0]!r}; "
+                             f"valid names: {', '.join(STRATEGY_NAMES)}")
+        try:
+            agents = int(record[1])
+        except ValueError:
+            raise ValueError(f"{where}, column 'agents': not an integer: {record[1]!r}") from None
+        values = []
+        for column, raw in zip(SUMMARY_HEADER[2:], record[2:]):
+            try:
+                value = float(raw)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{where}, column {column!r}: not a finite number: {raw!r}")
+            values.append(value)
+        rows.append(SummaryRow(record[0], agents, *values))
     if not rows:
         raise ValueError("results file has no data rows")
     return rows

@@ -159,3 +159,17 @@ class TestReport:
         bad.write_text("strategy,agents\nmin_rtt,10\n")
         code = run_cli(["report", "--in", str(bad)])
         assert code == 2
+
+    @pytest.mark.parametrize("line, named", [
+        ("min_rtt,10,4.25,nan,0.33,44.79,0.19,0.29", "row 2, column 'loss'"),
+        ("min_rtt,10,4.25,2.44,0.33,inf,0.19,0.29", "row 2, column 'efficiency'"),
+        ("greedy,10,4.25,2.44,0.33,44.79,0.19,0.29", "row 2, column 'strategy'"),
+    ])
+    def test_bad_row_exits_2_naming_row_and_column(self, tmp_path, capsys, line, named):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("strategy,agents,oscillation,loss,fairness,efficiency,"
+                       "stability,loss_avoidance\n" + line + "\n")
+        assert run_cli(["report", "--in", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""

@@ -1,13 +1,17 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mpsim.engine
 from mpsim import (
     STRATEGY_NAMES,
+    AgentState,
     AimdParams,
     EngineParams,
     SimConfig,
     StrategyKind,
+    StrategyState,
     apportion_loss,
     default_topology,
     rtt_instantaneous,
@@ -15,6 +19,7 @@ from mpsim import (
     timeseries_csv,
     update_cwnd,
 )
+from mpsim.engine import _PLAIN_LOOP_BELOW, _repeated_add
 from reference import oracle_agrees
 
 AIMD = AimdParams()
@@ -217,6 +222,49 @@ class TestAgainstOracle:
         assert oracle_agrees(run(cfg))
 
 
+def plain_repeated_add(total, x, count):
+    for _ in range(count):
+        total += x
+    return total
+
+
+@st.composite
+def tie_cases(draw):
+    """x = odd * 2**a has its lowest bit half a unit of the binade
+    [2**(a+53), 2**(a+54)), so every addition there is a round-half-even
+    tie; start inside that binade or just below it, so runs cross into it
+    with either parity of the last bit."""
+    a = draw(st.integers(-40, 20))
+    x = draw(st.integers(0, 2**19 - 1)) * 2 + 1
+    if draw(st.booleans()):
+        total = (2**52 + draw(st.integers(0, 2**52 - 1))) * 2.0 ** (a + 1)
+    else:
+        total = 2.0 ** (a + 53) - draw(st.integers(1, 2**21)) * 2.0 ** a
+    return total, x * 2.0 ** a
+
+
+@st.composite
+def low_bit_cases(draw):
+    """x = (1 + odd * 2**-52) * 2**e: additions tie in the binade above x's."""
+    e = draw(st.integers(-20, 20))
+    x = (1 + (draw(st.integers(0, 2**51 - 1)) * 2 + 1) * 2.0 ** -52) * 2.0 ** e
+    return draw(st.sampled_from([0.0, x, 3 * x])), x
+
+
+class TestRepeatedAdd:
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.one_of(
+               tie_cases(),
+               low_bit_cases(),
+               st.tuples(st.floats(0.0, 1e6), st.floats(1e-3, 1e3)),
+               st.tuples(st.integers(0, 10**6).map(float),
+                         st.sampled_from([0.1, 0.2, 0.3, 0.84, 1.0, 1.2, 1.0 / 3, 0.125]))),
+           count=st.one_of(st.integers(0, 2 * _PLAIN_LOOP_BELOW), st.integers(0, 10**5)))
+    def test_matches_sequential_additions(self, case, count):
+        total, x = case
+        assert _repeated_add(total, x, count) == plain_repeated_add(total, x, count)
+
+
 class TestStepContract:
     @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
     def test_run_calls_module_step_once_per_step(self, monkeypatch, strategy):
@@ -241,6 +289,65 @@ class TestStepContract:
         telemetry = run(cfg)
         assert calls == list(range(cfg.engine.steps))
         assert [r.step for r in telemetry.records] == calls
+
+
+class TestCohortsAgainstOracle:
+    # above _PLAIN_LOOP_BELOW a cohort's load goes through the binade walk;
+    # alpha, initial_cwnd and mbps_per_cwnd keep windows and loads off
+    # dyadic values, and the scale makes path 1 overflow within 30 steps
+    COHORT_STRATEGIES = ("min_rtt", "min_load", "attribute_aware", "blest", "round_robin")
+
+    @pytest.mark.parametrize("agents", [_PLAIN_LOOP_BELOW + 1, 2000])
+    @pytest.mark.parametrize("strategy", COHORT_STRATEGIES)
+    def test_large_cohort_matches_oracle(self, strategy, agents):
+        aimd = AimdParams(initial_cwnd=0.37, alpha=0.73, beta=0.61, cwnd_floor=0.29,
+                          mbps_per_cwnd=9.1 / agents)
+        cfg = SimConfig(topology=default_topology(), strategy=StrategyKind(strategy),
+                        num_agents=agents, aimd=aimd, engine=EngineParams(steps=30))
+        telemetry = run(cfg)
+        assert any(r.overflows[0] > 0 for r in telemetry.records)
+        assert oracle_agrees(telemetry)
+
+    def test_hundred_thousand_agents_smoke(self):
+        # one state of count 100,000: invariants hold and the final
+        # windows expand back to one per agent
+        agents = 100_000
+        cfg = config("min_load", agents=agents, steps=300)
+        telemetry = run(cfg)
+        paths = cfg.topology.paths
+        assert len(telemetry.records) == 300
+        for record in telemetry.records:
+            assert sum(record.loads) == agents * cfg.aimd.cwnd_floor
+            for path, load, overflow, rtt in zip(paths, record.loads, record.overflows,
+                                                 record.inst_rtts):
+                assert overflow == max(0.0, load - path.capacity_mbps)
+                assert rtt >= path.base_rtt_ms
+        assert len(telemetry.final_cwnds) == agents
+        assert set(telemetry.final_cwnds) == {cfg.aimd.cwnd_floor}
+
+
+class TestCohortStates:
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_run_steps_one_state_only_where_agents_stay_identical(self, monkeypatch,
+                                                                  strategy):
+        real_step = mpsim.engine.step
+        counts = []
+
+        def recording_step(agents, *args, **kwargs):
+            counts.append([agent.count for agent in agents])
+            return real_step(agents, *args, **kwargs)
+
+        monkeypatch.setattr(mpsim.engine, "step", recording_step)
+        run(config(strategy, agents=12, steps=3))
+        per_agent = strategy in ("weighted_round_robin", "epsilon_greedy")
+        assert counts == [[1] * 12 if per_agent else [12]] * 3
+
+    def test_epsilon_greedy_refuses_a_shared_state(self):
+        cfg = config("epsilon_greedy", agents=2, steps=1)
+        state = StrategyState(rng=random.Random(0))
+        agents = [AgentState(agent_id=0, cwnd=1.0, strategy_state=state, count=2)]
+        with pytest.raises(ValueError, match="one state per agent"):
+            mpsim.engine.step(agents, cfg.topology, None, cfg)
 
 
 class TestHerdInvariant:

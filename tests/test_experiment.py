@@ -18,6 +18,7 @@ from mpsim import (
     sweep_epsilon,
 )
 from mpsim.cli import main
+from mpsim.experiment import SUMMARY_HEADER
 
 STEPS = 40  # grid behavior, not absolute scores, is under test here
 
@@ -84,6 +85,17 @@ class TestWorkerCount:
         monkeypatch.setenv("MPSIM_THREADS", value)
         with pytest.raises(ValueError, match=f"MPSIM_THREADS.*{value}"):
             sweep_agents(small_spec(agent_counts=(10,)))
+
+    def test_epsilon_sweep_rejects_invalid_value(self, monkeypatch):
+        monkeypatch.setenv("MPSIM_THREADS", "abc")
+        with pytest.raises(ValueError, match="MPSIM_THREADS.*abc"):
+            sweep_epsilon((0.0, 0.1), 10, default_topology(), steps=5)
+
+    def test_epsilon_sweep_invalid_value_exits_2_from_cli(self, monkeypatch, capsys):
+        monkeypatch.setenv("MPSIM_THREADS", "abc")
+        assert main(["sweep", "--epsilon-grid", "0,0.1", "--agents", "10",
+                     "--steps", "5"]) == 2
+        assert "MPSIM_THREADS" in capsys.readouterr().err
 
     def test_invalid_value_exits_2_from_cli(self, monkeypatch, capsys):
         monkeypatch.setenv("MPSIM_THREADS", "-3")
@@ -167,4 +179,20 @@ class TestParseSummaryCsv:
     def test_rejects_truncated_row(self):
         text = emit_summary([TestEmitSummary.ROW]).rsplit(",", 1)[0] + "\n"
         with pytest.raises(ValueError):
+            parse_summary_csv(text)
+
+    @pytest.mark.parametrize("column", SUMMARY_HEADER[2:])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "oops"])
+    def test_rejects_non_finite_number_naming_row_and_column(self, column, value):
+        rows = [TestEmitSummary.ROW, TestEmitSummary.ROW]
+        lines = emit_summary(rows).splitlines()
+        fields = lines[2].split(",")
+        fields[SUMMARY_HEADER.index(column)] = value
+        lines[2] = ",".join(fields)
+        with pytest.raises(ValueError, match=f"row 3, column '{column}'.*{value}"):
+            parse_summary_csv("\n".join(lines) + "\n")
+
+    def test_rejects_unknown_strategy_naming_row_and_column(self):
+        text = emit_summary([TestEmitSummary.ROW]).replace("min_rtt", "min_rttx")
+        with pytest.raises(ValueError, match="row 2, column 'strategy'.*min_rttx"):
             parse_summary_csv(text)
