@@ -8,12 +8,15 @@ otherwise). Telemetry records per-step per-path load/overflow/RTT plus
 the final windows; the metrics layer consumes nothing else.
 
 A step computes once whatever is the same for every agent: the choice
-of the shared-choice strategies, epsilon-greedy's exploit target, and
-each path's loss flag and loss-free window increment. The loops over
-agents only pick a path, add the window to that path's load in agent
-order (the same float sum as one addition per agent) and apply their
-path's outcome, with no function call per agent. Shared-choice steps
-apply one outcome to every window.
+of the shared-choice strategies, epsilon-greedy's exploit target, and,
+in one pass over the paths, each path's overflow, RTT, loss flag and
+loss-free window increment. The path views a selector reads are built
+only for those two choices; round robin and weighted round robin read
+none, so their steps build none. The loops over agents only pick a
+path, add the window to that path's load in agent order (the same float
+sum as one addition per agent) and apply their path's outcome, with no
+function call per agent. Shared-choice steps apply one outcome to every
+window.
 
 Cohorts: an AgentState stands for `count` consecutive agents that share
 a window, a cursor and a choice. A shared-choice strategy picks a pure
@@ -47,7 +50,7 @@ from .strategy import (
     select_min_rtt,
     wrr_schedule,
 )
-from .topology import HIGH_COST_TAG, Topology
+from .topology import HIGH_COST_TAG, PathSpec, Topology
 
 # strategies whose choice is a pure function of the shared view, hence
 # identical for every agent within a step
@@ -230,19 +233,12 @@ def _repeated_add(total: float, x: float, count: int) -> float:
     return total
 
 
-def _views(topology: Topology, prev: StepRecord | None) -> list[PathView]:
-    views = []
-    for i, path in enumerate(topology.paths):
-        views.append(
-            PathView(
-                path_id=path.id,
-                capacity_mbps=path.capacity_mbps,
-                inst_rtt_ms=prev.inst_rtts[i] if prev is not None else path.base_rtt_ms,
-                prev_load_mbps=prev.loads[i] if prev is not None else 0.0,
-                attributes=path.attributes,
-            )
-        )
-    return views
+def _views(paths: tuple[PathSpec, ...], prev: StepRecord | None) -> list[PathView]:
+    if prev is None:
+        return [PathView(path.id, path.capacity_mbps, path.base_rtt_ms, 0.0, path.attributes)
+                for path in paths]
+    return [PathView(path.id, path.capacity_mbps, rtt, load, path.attributes)
+            for path, rtt, load in zip(paths, prev.inst_rtts, prev.loads)]
 
 
 def _stateless_choice(strategy: StrategyKind, views: list[PathView],
@@ -263,15 +259,15 @@ def step(agents: list[AgentState], topology: Topology, prev_record: StepRecord |
 
     `agents` holds the states of all `config.num_agents` agents, in agent
     order."""
-    views = _views(topology, prev_record)
     strategy = config.strategy
     aimd = config.aimd
     mbps_per_cwnd = aimd.mbps_per_cwnd
-    loads = [0.0] * topology.path_count
+    paths = topology.paths
+    loads = [0.0] * len(paths)
 
     shared = strategy.name in _STATELESS
     if shared:
-        choice = _stateless_choice(strategy, views, config.forbidden_tags)
+        choice = _stateless_choice(strategy, _views(paths, prev_record), config.forbidden_tags)
         total = 0.0
         for agent in agents:
             agent.chosen_path = choice
@@ -281,19 +277,19 @@ def step(agents: list[AgentState], topology: Topology, prev_record: StepRecord |
         if len(agents) != config.num_agents:
             raise ValueError("epsilon_greedy needs one state per agent: each draws "
                              "from its own rng")
-        exploit = select_min_rtt(views)
-        path_ids = [view.path_id for view in views]
-        epsilon, path_count = strategy.epsilon, len(path_ids)
+        exploit = select_min_rtt(_views(paths, prev_record))
+        epsilon, path_count = strategy.epsilon, len(paths)
         for agent in agents:
             explored = epsilon_explore(agent.strategy_state.rng, epsilon, path_count)
-            path = exploit if explored is None else path_ids[explored]
+            # path ids run 1..P in topology order
+            path = exploit if explored is None else explored + 1
             agent.chosen_path = path
             loads[path - 1] += agent.cwnd * mbps_per_cwnd
     else:
         # the cursor walk of select_round_robin / select_wrr: round robin
         # cycles through the path ids, WRR through its smooth schedule
         slots = schedule if strategy.name == "weighted_round_robin" else \
-            range(1, topology.path_count + 1)
+            range(1, len(paths) + 1)
         if not slots:
             raise ValueError("weighted_round_robin needs its non-empty wrr_schedule")
         period = len(slots)
@@ -308,25 +304,32 @@ def step(agents: list[AgentState], topology: Topology, prev_record: StepRecord |
                 loads[path - 1] = _repeated_add(loads[path - 1], agent.cwnd * mbps_per_cwnd,
                                                 agent.count)
 
+    # one pass over the paths. The RTT is rtt_instantaneous's expression,
+    # with max and min spelled as comparisons that pick the same operand
+    # (the topology and EngineParams have already validated its inputs);
+    # queue delay follows the traffic the path actually carries, so shed
+    # overload does not keep adding delay. update_cwnd's per-path parts
+    # are hoisted here: any positive overflow gives every sender on that
+    # path a positive pro-rata share, so the loss flag needs no per-agent
+    # division, and a loss-free path grows each of its windows by the
+    # same increment
+    queue_scale, step_ms, alpha = config.engine.queue_scale_ms, config.engine.step_ms, aimd.alpha
     overflows = []
     inst_rtts = []
-    for i, path in enumerate(topology.paths):
-        overflows.append(max(0.0, loads[i] - path.capacity_mbps))
-        # queue delay follows the traffic the path actually carries;
-        # shed overload does not keep adding delay
-        delivered = min(loads[i], path.capacity_mbps)
-        inst_rtts.append(
-            rtt_instantaneous(path.base_rtt_ms, delivered, path.capacity_mbps,
-                              config.engine.queue_scale_ms)
-        )
+    lost = []
+    growth = []
+    for path, load in zip(paths, loads):
+        capacity = path.capacity_mbps
+        excess = load - capacity
+        overflows.append(excess if excess > 0.0 else 0.0)
+        lost.append(excess > 0.0)
+        delivered = capacity if capacity < load else load
+        queue = queue_scale * (delivered / capacity - 1.0)
+        rtt = path.base_rtt_ms + (queue if queue > 0.0 else 0.0)
+        inst_rtts.append(rtt)
+        growth.append(alpha * (step_ms / rtt))
 
-    # update_cwnd, with its per-path parts hoisted: any positive overflow
-    # gives every sender on that path a positive pro-rata share, so the
-    # loss flag needs no per-agent division, and a loss-free path grows
-    # each of its windows by the same increment
     floor, beta = aimd.cwnd_floor, aimd.beta
-    lost = [overflow > 0.0 for overflow in overflows]
-    growth = [aimd.alpha * (config.engine.step_ms / rtt) for rtt in inst_rtts]
     if shared and lost[choice - 1]:
         for agent in agents:
             cwnd = beta * agent.cwnd

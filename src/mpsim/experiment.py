@@ -15,7 +15,6 @@ import hashlib
 import io
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .engine import EngineParams, SimConfig, run
@@ -122,6 +121,8 @@ def sweep_agents(spec: SweepSpec) -> list[SummaryRow]:
     ]
     workers = _worker_count()
     if workers > 1 and len(cells) > 1:
+        # imported here: it loads multiprocessing, which serial runs never use
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_cell, cells))
     return [_run_cell(cell) for cell in cells]

@@ -27,20 +27,36 @@ class AxiomScores:
     loss_avoidance: float
 
 
-def efficiency(telemetry: Telemetry) -> float:
-    """Mean over steps of the total sent load, in Mbps."""
+def _step_means(telemetry: Telemetry) -> tuple[float, float, float]:
+    """Means over steps of the total sent load, the total overflow and
+    the population std of load across paths, from one pass over the
+    records. Each mean sums its per-step values in step order."""
     records = telemetry.records
     if not records:
         raise ValueError("telemetry has no records")
-    return sum(sum(r.loads) for r in records) / len(records)
+    if not records[0].loads:
+        raise ValueError("telemetry has no paths")
+    sent, overflow, spread = [], [], []
+    for record in records:
+        loads = record.loads
+        paths = len(loads)
+        total = sum(loads)
+        mean = total / paths
+        sent.append(total)
+        overflow.append(sum(record.overflows))
+        spread.append(math.sqrt(sum([(v - mean) ** 2 for v in loads]) / paths))
+    steps = len(records)
+    return sum(sent) / steps, sum(overflow) / steps, sum(spread) / steps
+
+
+def efficiency(telemetry: Telemetry) -> float:
+    """Mean over steps of the total sent load, in Mbps."""
+    return _step_means(telemetry)[0]
 
 
 def loss(telemetry: Telemetry) -> float:
     """Mean over steps of the total overflow, in Mbps."""
-    records = telemetry.records
-    if not records:
-        raise ValueError("telemetry has no records")
-    return sum(sum(r.overflows) for r in records) / len(records)
+    return _step_means(telemetry)[1]
 
 
 def goodput(telemetry: Telemetry) -> float:
@@ -54,19 +70,9 @@ def goodput(telemetry: Telemetry) -> float:
     ) / len(records)
 
 
-def _population_std(values: Sequence[float]) -> float:
-    mean = sum(values) / len(values)
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-
-
 def oscillation(telemetry: Telemetry) -> float:
     """Mean over steps of the population std of load across paths."""
-    records = telemetry.records
-    if not records:
-        raise ValueError("telemetry has no records")
-    if not records[0].loads:
-        raise ValueError("telemetry has no paths")
-    return sum(_population_std(r.loads) for r in records) / len(records)
+    return _step_means(telemetry)[2]
 
 
 def stability(oscillation_mbps: float) -> float:
@@ -100,9 +106,7 @@ def jain_fairness(final_cwnds: Sequence[float]) -> float:
 
 def score(telemetry: Telemetry) -> AxiomScores:
     """Bundle all axiom scores for one run."""
-    eff = efficiency(telemetry)
-    lam = loss(telemetry)
-    osc = oscillation(telemetry)
+    eff, lam, osc = _step_means(telemetry)
     return AxiomScores(
         oscillation=osc,
         loss=lam,

@@ -118,8 +118,8 @@ class TestSweep:
     def test_parallel_matches_serial(self, tmp_path):
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
-        args = ["sweep", "--strategies", "min_rtt,round_robin",
-                "--agents-list", "10,25", "--steps", "20", "--raw"]
+        args = ["sweep", "--all-strategies", "--agents-list", "10,25", "--steps", "20",
+                "--raw"]
         assert run_cli(args + ["--out", str(serial)]) == 0
         os.environ["MPSIM_THREADS"] = "2"
         try:

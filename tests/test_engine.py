@@ -222,6 +222,34 @@ class TestAgainstOracle:
         assert oracle_agrees(run(cfg))
 
 
+class TestInlinedPathPass:
+    # step() computes each path's RTT and window increment inline instead
+    # of calling rtt_instantaneous and update_cwnd; both copies must stay
+    # the public functions' arithmetic, also off the default step_ms and
+    # queue_scale_ms
+    ENGINES = [EngineParams(steps=60),
+               EngineParams(steps=60, step_ms=3.7, queue_scale_ms=25.0),
+               EngineParams(steps=60, step_ms=17.0, queue_scale_ms=0.0)]
+
+    @pytest.mark.parametrize("engine", ENGINES,
+                             ids=["default", "step3.7-queue25", "step17-queue0"])
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_rtts_are_rtt_instantaneous_of_carried_load(self, strategy, engine):
+        cfg = SimConfig(topology=default_topology(), strategy=StrategyKind(strategy),
+                        num_agents=90, aimd=AimdParams(alpha=0.73, initial_cwnd=0.37),
+                        engine=engine, seed=4)
+        telemetry = run(cfg)
+        paths = cfg.topology.paths
+        for record in telemetry.records:
+            expected = tuple(
+                rtt_instantaneous(path.base_rtt_ms, min(load, path.capacity_mbps),
+                                  path.capacity_mbps, engine.queue_scale_ms)
+                for path, load in zip(paths, record.loads))
+            assert record.inst_rtts == expected
+        assert any(overflow > 0.0 for r in telemetry.records for overflow in r.overflows)
+        assert oracle_agrees(telemetry)
+
+
 def plain_repeated_add(total, x, count):
     for _ in range(count):
         total += x

@@ -1,6 +1,14 @@
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given, strategies as st
+
+import mpsim
 from mpsim import (
+    STRATEGY_NAMES,
     EngineParams,
     SimConfig,
     SummaryRow,
@@ -104,6 +112,18 @@ class TestWorkerCount:
         assert "MPSIM_THREADS" in capsys.readouterr().err
 
 
+def test_import_loads_no_process_pool():
+    # serial runs never use the pool, so importing mpsim must not pay for
+    # concurrent.futures and multiprocessing
+    code = ("import sys, mpsim, mpsim.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(mpsim.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 class TestSweepEpsilon:
     def test_cardinality(self):
         points = sweep_epsilon((0.0, 0.1, 0.2, 0.3, 0.4, 0.5), 20,
@@ -156,6 +176,12 @@ class TestEmitSummary:
                                        agent_counts=(10,)))
         text = emit_summary(rows, raw=True)
         assert parse_summary_csv(text) == rows
+
+    @given(st.lists(st.builds(
+        SummaryRow, st.sampled_from(STRATEGY_NAMES), st.integers(),
+        *[st.floats(allow_nan=False, allow_infinity=False)] * 6), min_size=1, max_size=8))
+    def test_raw_round_trips_generated_rows(self, rows):
+        assert parse_summary_csv(emit_summary(rows, raw=True)) == rows
 
     def test_rounded_identities_survive_rendering(self):
         rows = sweep_agents(small_spec())

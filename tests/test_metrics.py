@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mpsim import (
+    STRATEGY_NAMES,
+    AimdParams,
     EngineParams,
     SimConfig,
     StepRecord,
@@ -175,3 +177,55 @@ class TestScore:
         t = run(SimConfig(topology=default_topology(), strategy=StrategyKind("round_robin"),
                           num_agents=500, engine=EngineParams(steps=60), seed=0))
         assert score(t).fairness == 1.0
+
+
+def reference_means(telemetry):
+    """Efficiency, loss and oscillation as separate passes, each summing
+    its per-step values in step order: the formulas score() must equal."""
+    records = telemetry.records
+    steps = len(records)
+
+    def std(values):
+        mean = sum(values) / len(values)
+        return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+
+    return (sum(sum(r.loads) for r in records) / steps,
+            sum(sum(r.overflows) for r in records) / steps,
+            sum(std(r.loads) for r in records) / steps)
+
+
+SCORED = [(strategy, agents) for strategy in STRATEGY_NAMES for agents in (10, 500)]
+
+
+@pytest.fixture(scope="module", params=SCORED, ids=[f"{s}-{n}" for s, n in SCORED])
+def scored_telemetry(request):
+    strategy, agents = request.param
+    return run(SimConfig(topology=default_topology(), strategy=StrategyKind(strategy),
+                         num_agents=agents, aimd=AimdParams(alpha=0.73, initial_cwnd=0.37),
+                         engine=EngineParams(steps=300), seed=7))
+
+
+class TestOnePassScore:
+    # score() reads the records once for efficiency, loss and oscillation;
+    # the results must be bit for bit those of the separate functions and
+    # of the per-step formulas summed in step order
+    def test_fields_equal_public_functions(self, scored_telemetry):
+        s = score(scored_telemetry)
+        assert s.efficiency == efficiency(scored_telemetry)
+        assert s.loss == loss(scored_telemetry)
+        assert s.oscillation == oscillation(scored_telemetry)
+        assert s.fairness == jain_fairness(scored_telemetry.final_cwnds)
+
+    def test_means_equal_per_step_formulas(self, scored_telemetry):
+        assert (efficiency(scored_telemetry), loss(scored_telemetry),
+                oscillation(scored_telemetry)) == reference_means(scored_telemetry)
+
+    @given(st.lists(st.tuples(*[st.floats(0.0, 1e6)] * 3), min_size=1, max_size=40))
+    def test_synthetic_means_equal_per_step_formulas(self, loads_per_step):
+        t = synthetic(loads_per_step)
+        s = score(t)
+        assert (s.efficiency, s.loss, s.oscillation) == reference_means(t)
+
+    def test_no_paths_rejected(self):
+        with pytest.raises(ValueError, match="no paths"):
+            score(synthetic([()]))

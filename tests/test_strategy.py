@@ -237,3 +237,44 @@ class TestStrategyKind:
     def test_filter_factor_range(self):
         with pytest.raises(ValueError):
             StrategyKind("blest", filter_factor=0.9)
+
+
+class TestPathViewContract:
+    FIELDS = ("path_id", "capacity_mbps", "inst_rtt_ms", "prev_load_mbps", "attributes")
+
+    def test_field_order(self):
+        assert PathView._fields == self.FIELDS
+
+    def test_attributes_default_to_empty(self):
+        view = PathView(1, 50.0, 20.0, 0.0)
+        assert view.attributes == frozenset()
+        assert type(view.attributes) is frozenset
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_fields_cannot_be_assigned(self, field):
+        view = PathView(1, 50.0, 20.0, 0.0)
+        with pytest.raises(AttributeError):
+            setattr(view, field, 2)
+
+    def test_hashable_and_equal_by_value(self):
+        a = PathView(2, 100.0, 50.0, 3.5, frozenset({"high-cost"}))
+        b = PathView(path_id=2, capacity_mbps=100.0, inst_rtt_ms=50.0, prev_load_mbps=3.5,
+                     attributes=frozenset({"high-cost"}))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, PathView(2, 100.0, 50.0, 3.6)}) == 2
+
+    @pytest.mark.parametrize("select", [
+        select_min_rtt,
+        select_min_load,
+        lambda vs: select_attribute_aware(vs, {"high-cost"}),
+        lambda vs: select_blest(vs, 1.5),
+        lambda vs: select_epsilon_greedy(StrategyState(rng=random.Random("v")), vs, 0.5),
+    ], ids=["min_rtt", "min_load", "attribute_aware", "blest", "epsilon_greedy"])
+    def test_selectors_accept_positional_and_keyword_views(self, select):
+        rows = [(1, 50.0, 31.0, 40.0, frozenset({"high-cost"})),
+                (2, 100.0, 30.0, 70.0, frozenset()),
+                (3, 80.0, 90.0, 10.0, frozenset())]
+        positional = [PathView(*row) for row in rows]
+        keyword = [PathView(**dict(zip(self.FIELDS, row))) for row in rows]
+        assert positional == keyword
+        assert select(positional) == select(keyword) in (1, 2, 3)

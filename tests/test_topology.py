@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mpsim import (
     HIGH_COST_TAG,
@@ -111,6 +112,22 @@ def test_empty_paths_rejected():
 
 def test_round_trip():
     topo = parse_topology(DEFAULT_CONFIG)
+    assert parse_topology(serialize_topology(topo)) == topo
+
+
+positive_finite = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+topologies = st.builds(
+    lambda name, rows: Topology(name, tuple(
+        PathSpec(i + 1, capacity, rtt, attributes)
+        for i, (capacity, rtt, attributes) in enumerate(rows))),
+    st.text(max_size=20),
+    st.lists(st.tuples(positive_finite, positive_finite,
+                       st.frozensets(st.text(max_size=8), max_size=3)),
+             min_size=1, max_size=6))
+
+
+@given(topologies)
+def test_round_trip_of_generated_topologies(topo):
     assert parse_topology(serialize_topology(topo)) == topo
 
 
