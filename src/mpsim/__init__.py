@@ -7,12 +7,9 @@ from .engine import (
     SimConfig,
     StepRecord,
     Telemetry,
-    apportion_loss,
-    rtt_instantaneous,
     run,
     step,
     timeseries_csv,
-    update_cwnd,
 )
 from .experiment import (
     DEFAULT_AGENT_COUNTS,
@@ -30,7 +27,6 @@ from .experiment import (
 from .metrics import (
     AxiomScores,
     efficiency,
-    goodput,
     jain_fairness,
     loss,
     loss_avoidance,
@@ -45,11 +41,8 @@ from .strategy import (
     StrategyState,
     select_attribute_aware,
     select_blest,
-    select_epsilon_greedy,
     select_min_load,
     select_min_rtt,
-    select_round_robin,
-    select_wrr,
     wrr_schedule,
 )
 from .topology import (

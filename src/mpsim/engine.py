@@ -12,22 +12,24 @@ of the shared-choice strategies, epsilon-greedy's exploit target, and,
 in one pass over the paths, each path's overflow, RTT, loss flag and
 loss-free window increment. The path views a selector reads are built
 only for those two choices; round robin and weighted round robin read
-none, so their steps build none. The loops over agents only pick a
+none, so their steps build none. The loops over states only pick a
 path, add the window to that path's load in agent order (the same float
 sum as one addition per agent) and apply their path's outcome, with no
-function call per agent. Shared-choice steps apply one outcome to every
-window.
+function call per agent.
 
-Cohorts: an AgentState stands for `count` consecutive agents that share
-a window, a cursor and a choice. A shared-choice strategy picks a pure
-function of the shared path view, so agents that start equal make the
-same choice and get the same update on every step; the same holds for
-round robin, whose cursors all start at 0. run() therefore steps those
-five strategies as one state of count N, and keeps N singletons for
-weighted round robin (staggered cursors) and epsilon-greedy (one rng per
-agent). A state still adds its window to its path's load `count` times
-in agent order, so the load is bit for bit the per-agent float sum;
-`_repeated_add` computes that sum in O(log count) instead of O(count).
+Cohorts: run() lays the N agents out as S states, state k standing for
+agents k, k + S, k + 2S, ... (its `count`), which share a window, a
+cursor and a choice. Agents that start equal and always choose alike
+stay identical. A shared-choice strategy picks a pure function of the
+shared path view; so does epsilon-greedy at epsilon 0, which never
+explores; and round robin's cursors all start at 0. run() steps those
+as one state (S = 1). Weighted round robin staggers agent i's cursor to
+slot i mod L of its L-slot schedule, so agents of one cursor class
+i mod L stay identical: S = min(N, L). Epsilon-greedy at epsilon > 0
+draws from one rng per agent: S = N. Agent order visits the states
+round by round, so a path's load is the sequential float sum over that
+periodic sequence, bit for bit the per-agent sum; `_repeated_add`
+computes a run of equal windows in O(log count) instead of O(count).
 
 Runs are pure functions of their SimConfig: all randomness flows from
 the config seed through per-agent streams.
@@ -43,7 +45,6 @@ from .strategy import (
     PathView,
     StrategyKind,
     StrategyState,
-    epsilon_explore,
     select_attribute_aware,
     select_blest,
     select_min_load,
@@ -53,11 +54,9 @@ from .strategy import (
 from .topology import HIGH_COST_TAG, PathSpec, Topology
 
 # strategies whose choice is a pure function of the shared view, hence
-# identical for every agent within a step
+# identical for every agent within a step (so is epsilon-greedy's at
+# epsilon 0)
 _STATELESS = frozenset({"min_rtt", "min_load", "attribute_aware", "blest"})
-# strategies whose agents stay identical for the whole run: run() steps
-# them as one state of count N
-_COHORT = _STATELESS | {"round_robin"}
 
 # below this count a plain loop of additions beats the binade walk of
 # _repeated_add. Summing four non-dyadic windows from 0.0 (best of 5 x 200
@@ -66,6 +65,13 @@ _COHORT = _STATELESS | {"round_robin"}
 # 6.7-7.1 us at 400, and 49-52 us against 8.3-9.1 us at 2000
 _PLAIN_LOOP_BELOW = 300
 _UNITS_PER_BINADE = 2 ** 53
+# from this many rounds of states on, _later_rounds sums each path's
+# column instead of walking the states round by round. Counted in
+# bytecodes executed by 60-step WRR runs on the default topology (23
+# cursor classes), the walk took 160,685 against 163,493 at N = 69 and
+# 173,315 against 178,765 at N = 80 (3 rounds), the columns 185,449
+# against 196,245 at N = 100 (4 rounds)
+_COLUMNS_FROM_ROUND = 4
 
 
 @dataclass(frozen=True)
@@ -106,16 +112,18 @@ class EngineParams:
 
 @dataclass(slots=True)
 class AgentState:
-    """The mutable state of `count` consecutive agents, starting at
-    `agent_id`, that share a window, a cursor and a choice.
+    """The mutable state of the `count` agents `agent_id`, `agent_id` + S,
+    `agent_id` + 2S, ... of a run laid out as S states, which share a
+    window, a cursor and a choice.
 
-    step() adds the window to the chosen path's load once per agent and
-    applies one AIMD update to the state, whatever its count. Agents stay
-    identical only while they choose alike: run() builds one state of
-    count N for the shared-choice strategies and round robin, and
-    singletons for weighted round robin and epsilon-greedy. step() takes
-    the states of all `config.num_agents` agents, and refuses
-    epsilon-greedy states that are not singletons.
+    step() adds the window to the chosen path's load once per agent, in
+    agent order, and applies one AIMD update to the state, whatever its
+    count. Agents stay identical only while they choose alike: run()
+    builds one state of count N for the shared-choice strategies, round
+    robin and epsilon-greedy at epsilon 0, one state per cursor class for
+    weighted round robin, and singletons for epsilon-greedy at epsilon >
+    0. step() takes the states of all `config.num_agents` agents, and
+    refuses epsilon-greedy states that are not singletons where it draws.
     """
 
     agent_id: int
@@ -155,38 +163,6 @@ class Telemetry:
     records: tuple[StepRecord, ...]
     final_cwnds: tuple[float, ...]
     config: SimConfig
-
-
-def rtt_instantaneous(base_rtt_ms: float, load_mbps: float, capacity_mbps: float,
-                      queue_scale_ms: float) -> float:
-    """Base RTT plus a queueing term that activates above capacity."""
-    if capacity_mbps <= 0:
-        raise ValueError("capacity must be positive")
-    if queue_scale_ms < 0:
-        raise ValueError("queue scale must be >= 0")
-    return base_rtt_ms + max(0.0, queue_scale_ms * (load_mbps / capacity_mbps - 1.0))
-
-
-def apportion_loss(agent_loads: list[float], capacity_mbps: float) -> tuple[list[float], float]:
-    """Split a path's overflow across its senders, pro rata by contribution.
-
-    Returns (per-agent losses, overflow). Losses sum to the overflow
-    exactly (within float additive error).
-    """
-    total = sum(agent_loads)
-    overflow = max(0.0, total - capacity_mbps)
-    if overflow == 0.0 or total == 0.0:
-        return [0.0] * len(agent_loads), overflow
-    return [overflow * load / total for load in agent_loads], overflow
-
-
-def update_cwnd(cwnd: float, lost: bool, path_rtt_ms: float, step_ms: float,
-                params: AimdParams) -> float:
-    """One AIMD reaction: halve (clamped at the floor) on loss, otherwise
-    grow by alpha per path RTT, accrued fractionally each step."""
-    if lost:
-        return max(params.cwnd_floor, params.beta * cwnd)
-    return cwnd + params.alpha * (step_ms / path_rtt_ms)
 
 
 def _repeated_add(total: float, x: float, count: int) -> float:
@@ -249,70 +225,133 @@ def _stateless_choice(strategy: StrategyKind, views: list[PathView],
         return select_min_load(views)
     if strategy.name == "attribute_aware":
         return select_attribute_aware(views, forbidden_tags)
-    return select_blest(views, strategy.filter_factor)
+    if strategy.name == "blest":
+        return select_blest(views, strategy.filter_factor)
+    # epsilon-greedy at epsilon 0 always exploits
+    return select_min_rtt(views)
+
+
+def _later_rounds(loads: list[float], agents: list[AgentState], num_agents: int,
+                  mbps_per_cwnd: float) -> None:
+    """Add to `loads`, in agent order, the windows of the agents after
+    the first round of the S = len(agents) states, whose first round
+    the caller has added.
+
+    Agent order visits the states round by round: N // S full rounds,
+    then the first N mod S states once more. Each path's part of one
+    round is its states' windows in state order (a column), so its
+    later load is that column repeated, then the column's prefix from
+    the partial round. A column of equal windows is one run of
+    additions; any other column is walked addition by addition.
+    """
+    rounds, rest = divmod(num_agents, len(agents))
+    if rounds < _COLUMNS_FROM_ROUND:
+        for agent in agents * (rounds - 1) + agents[:rest]:
+            loads[agent.chosen_path - 1] += agent.cwnd * mbps_per_cwnd
+        return
+    columns = [[] for _ in loads]
+    for agent in agents:
+        columns[agent.chosen_path - 1].append(agent.cwnd * mbps_per_cwnd)
+    heads = [0] * len(loads)
+    for agent in agents[:rest]:
+        heads[agent.chosen_path - 1] += 1
+    for i, column in enumerate(columns):
+        if not column:
+            continue
+        if column.count(column[0]) == len(column):
+            loads[i] = _repeated_add(loads[i], column[0], (rounds - 1) * len(column) + heads[i])
+            continue
+        total = loads[i]
+        for _ in range(rounds - 1):
+            for x in column:
+                total += x
+        for x in column[:heads[i]]:
+            total += x
+        loads[i] = total
 
 
 def step(agents: list[AgentState], topology: Topology, prev_record: StepRecord | None,
          config: SimConfig, schedule: tuple[int, ...] | None = None,
-         step_index: int = 0) -> StepRecord:
+         step_index: int = 0, draws: list[tuple] | None = None) -> StepRecord:
     """Advance the simulation one step, mutating the states in place.
 
-    `agents` holds the states of all `config.num_agents` agents, in agent
-    order."""
+    `agents` holds the states of all `config.num_agents` agents in
+    run()'s layout. `draws` holds each epsilon-greedy agent's bound
+    (random, getrandbits) pair from its rng, which run() binds once per
+    run; without it they are bound from the states' rngs on each call."""
     strategy = config.strategy
+    name = strategy.name
     aimd = config.aimd
     mbps_per_cwnd = aimd.mbps_per_cwnd
     paths = topology.paths
     loads = [0.0] * len(paths)
 
-    shared = strategy.name in _STATELESS
-    if shared:
+    if name in _STATELESS or (name == "epsilon_greedy" and not strategy.epsilon):
         choice = _stateless_choice(strategy, _views(paths, prev_record), config.forbidden_tags)
+        # the states hold equal windows (they start equal and choose
+        # alike), so adding them state by state is the agent-order sum
         total = 0.0
         for agent in agents:
             agent.chosen_path = choice
             total = _repeated_add(total, agent.cwnd * mbps_per_cwnd, agent.count)
         loads[choice - 1] = total
-    elif strategy.name == "epsilon_greedy":
+    elif name == "epsilon_greedy":
         if len(agents) != config.num_agents:
             raise ValueError("epsilon_greedy needs one state per agent: each draws "
                              "from its own rng")
+        if draws is None:
+            draws = [(agent.strategy_state.rng.random, agent.strategy_state.rng.getrandbits)
+                     for agent in agents]
         exploit = select_min_rtt(_views(paths, prev_record))
         epsilon, path_count = strategy.epsilon, len(paths)
-        for agent in agents:
-            explored = epsilon_explore(agent.strategy_state.rng, epsilon, path_count)
-            # path ids run 1..P in topology order
-            path = exploit if explored is None else explored + 1
+        # the explored index is rng.randrange(path_count), drawn as
+        # CPython's Random._randbelow_with_getrandbits draws it (same
+        # value, same rng state) without randrange's argument checks
+        bits = path_count.bit_length()
+        for agent, (uniform, getrandbits) in zip(agents, draws):
+            if uniform() < epsilon:
+                explored = getrandbits(bits)
+                while explored >= path_count:
+                    explored = getrandbits(bits)
+                # path ids run 1..P in topology order
+                path = explored + 1
+            else:
+                path = exploit
             agent.chosen_path = path
             loads[path - 1] += agent.cwnd * mbps_per_cwnd
-    else:
-        # the cursor walk of select_round_robin / select_wrr: round robin
-        # cycles through the path ids, WRR through its smooth schedule
-        slots = schedule if strategy.name == "weighted_round_robin" else \
-            range(1, len(paths) + 1)
-        if not slots:
+    elif name == "weighted_round_robin":
+        # the cursor walk through the smooth schedule
+        if not schedule:
             raise ValueError("weighted_round_robin needs its non-empty wrr_schedule")
-        period = len(slots)
+        period = len(schedule)
         for agent in agents:
             state = agent.strategy_state
-            path = slots[state.rr_cursor % period]
+            path = schedule[state.rr_cursor % period]
             state.rr_cursor += 1
             agent.chosen_path = path
-            if agent.count == 1:
-                loads[path - 1] += agent.cwnd * mbps_per_cwnd
-            else:
-                loads[path - 1] = _repeated_add(loads[path - 1], agent.cwnd * mbps_per_cwnd,
-                                                agent.count)
+            loads[path - 1] += agent.cwnd * mbps_per_cwnd
+        if len(agents) < config.num_agents:
+            _later_rounds(loads, agents, config.num_agents, mbps_per_cwnd)
+    else:
+        # round robin cycles through the path ids. Its cursors all start at
+        # 0, so run() steps it as one state of N consecutive agents
+        for agent in agents:
+            state = agent.strategy_state
+            path = 1 + state.rr_cursor % len(paths)
+            state.rr_cursor += 1
+            agent.chosen_path = path
+            loads[path - 1] = _repeated_add(loads[path - 1], agent.cwnd * mbps_per_cwnd,
+                                            agent.count)
 
-    # one pass over the paths. The RTT is rtt_instantaneous's expression,
-    # with max and min spelled as comparisons that pick the same operand
-    # (the topology and EngineParams have already validated its inputs);
+    # one pass over the paths. The RTT is the base RTT plus a queueing
+    # term above capacity, with max and min spelled as comparisons (the
+    # topology and EngineParams have already validated its inputs);
     # queue delay follows the traffic the path actually carries, so shed
-    # overload does not keep adding delay. update_cwnd's per-path parts
-    # are hoisted here: any positive overflow gives every sender on that
-    # path a positive pro-rata share, so the loss flag needs no per-agent
-    # division, and a loss-free path grows each of its windows by the
-    # same increment
+    # overload does not keep adding delay. The AIMD update's per-path
+    # parts are hoisted here: any positive overflow gives every sender on
+    # that path a positive pro-rata share, so the loss flag needs no
+    # per-agent division, and a loss-free path grows each of its windows
+    # by the same increment
     queue_scale, step_ms, alpha = config.engine.queue_scale_ms, config.engine.step_ms, aimd.alpha
     overflows = []
     inst_rtts = []
@@ -329,23 +368,15 @@ def step(agents: list[AgentState], topology: Topology, prev_record: StepRecord |
         inst_rtts.append(rtt)
         growth.append(alpha * (step_ms / rtt))
 
+    # halve (clamped at the floor) on loss, else grow by alpha per RTT
     floor, beta = aimd.cwnd_floor, aimd.beta
-    if shared and lost[choice - 1]:
-        for agent in agents:
+    for agent in agents:
+        i = agent.chosen_path - 1
+        if lost[i]:
             cwnd = beta * agent.cwnd
             agent.cwnd = cwnd if cwnd > floor else floor
-    elif shared:
-        increment = growth[choice - 1]
-        for agent in agents:
-            agent.cwnd += increment
-    else:
-        for agent in agents:
-            i = agent.chosen_path - 1
-            if lost[i]:
-                cwnd = beta * agent.cwnd
-                agent.cwnd = cwnd if cwnd > floor else floor
-            else:
-                agent.cwnd += growth[i]
+        else:
+            agent.cwnd += growth[i]
 
     return StepRecord(step=step_index, loads=tuple(loads), overflows=tuple(overflows),
                       inst_rtts=tuple(inst_rtts))
@@ -353,34 +384,37 @@ def step(agents: list[AgentState], topology: Topology, prev_record: StepRecord |
 
 def run(config: SimConfig) -> Telemetry:
     """Execute a full simulation; same config and seed give identical telemetry."""
-    schedule = None
-    if config.strategy.name == "weighted_round_robin":
-        schedule = wrr_schedule(config.topology.capacities())
-
+    strategy, agent_count = config.strategy, config.num_agents
     initial_cwnd = float(config.aimd.initial_cwnd)
-    if config.strategy.name in _COHORT:
-        agents = [AgentState(agent_id=0, cwnd=initial_cwnd, strategy_state=StrategyState(),
-                             count=config.num_agents)]
+    schedule = draws = None
+    if strategy.name == "epsilon_greedy" and strategy.epsilon:
+        agents, draws = [], []
+        for i in range(agent_count):
+            rng = random.Random(f"{config.seed}:{i}")
+            agents.append(AgentState(agent_id=i, cwnd=initial_cwnd,
+                                     strategy_state=StrategyState(rng=rng)))
+            draws.append((rng.random, rng.getrandbits))
     else:
-        agents = []
-        for i in range(config.num_agents):
-            state = StrategyState()
-            if schedule is not None:
-                # stagger start slots so concurrent windows spread over the
-                # schedule instead of marching on one path per step
-                state.rr_cursor = i % len(schedule)
-            if config.strategy.name == "epsilon_greedy":
-                state.rng = random.Random(f"{config.seed}:{i}")
-            agents.append(AgentState(agent_id=i, cwnd=initial_cwnd, strategy_state=state))
+        classes = 1
+        if strategy.name == "weighted_round_robin":
+            schedule = wrr_schedule(config.topology.capacities())
+            # stagger agent i's start slot to i mod L so concurrent windows
+            # spread over the schedule instead of marching on one path per
+            # step; each cursor class is one state
+            classes = min(agent_count, len(schedule))
+        rounds, rest = divmod(agent_count, classes)
+        agents = [AgentState(agent_id=k, cwnd=initial_cwnd,
+                             strategy_state=StrategyState(rr_cursor=k), count=rounds + (k < rest))
+                  for k in range(classes)]
 
     records: list[StepRecord] = []
     prev: StepRecord | None = None
     for t in range(config.engine.steps):
-        prev = step(agents, config.topology, prev, config, schedule, step_index=t)
+        prev = step(agents, config.topology, prev, config, schedule, step_index=t, draws=draws)
         records.append(prev)
-    final_cwnds: list[float] = []
-    for agent in agents:
-        final_cwnds += [agent.cwnd] * agent.count
+    # agent i is state i mod S: repeat the S windows in agent order
+    cwnds = [agent.cwnd for agent in agents]
+    final_cwnds = (cwnds * (agent_count // len(cwnds) + 1))[:agent_count]
     return Telemetry(records=tuple(records), final_cwnds=tuple(final_cwnds), config=config)
 
 

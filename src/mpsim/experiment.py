@@ -3,9 +3,10 @@
 sweep_agents runs a (strategy x agent-count) grid and summarizes each
 cell into one row; sweep_epsilon runs the exploration-factor
 sensitivity line at a fixed agent count. Cells derive independent seeds
-from (sweep seed, strategy, agents), so results do not depend on grid
-shape or execution order. MPSIM_THREADS > 1 runs cells in worker
-processes; assembly order stays deterministic either way.
+from (sweep seed, strategy label, agents), so results do not depend on
+grid shape or execution order. MPSIM_THREADS > 1 runs the cells of
+either in worker processes; assembly order stays deterministic either
+way.
 """
 
 from __future__ import annotations
@@ -75,13 +76,13 @@ def cell_seed(seed: int, strategy_label: str, agents: int) -> int:
 
 
 def _run_cell(args) -> SummaryRow:
-    topology, kind, agents, steps, seed = args
+    topology, kind, label, agents, steps, seed = args
     config = SimConfig(
         topology=topology,
         strategy=kind,
         num_agents=agents,
         engine=EngineParams(steps=steps),
-        seed=cell_seed(seed, kind.name, agents),
+        seed=cell_seed(seed, label, agents),
     )
     scores = score(run(config))
     return SummaryRow(
@@ -112,13 +113,9 @@ def _worker_count() -> int:
     return n
 
 
-def sweep_agents(spec: SweepSpec) -> list[SummaryRow]:
-    """One row per (strategy, agent count), strategy-major, counts ascending."""
-    cells = [
-        (spec.topology, kind, agents, spec.steps, spec.seed)
-        for kind in spec.strategies
-        for agents in sorted(spec.agent_counts)
-    ]
+def _run_cells(cells: list[tuple]) -> list[SummaryRow]:
+    """One row per cell, in cell order; in worker processes when
+    MPSIM_THREADS asks for more than one."""
     workers = _worker_count()
     if workers > 1 and len(cells) > 1:
         # imported here: it loads multiprocessing, which serial runs never use
@@ -128,26 +125,26 @@ def sweep_agents(spec: SweepSpec) -> list[SummaryRow]:
     return [_run_cell(cell) for cell in cells]
 
 
+def sweep_agents(spec: SweepSpec) -> list[SummaryRow]:
+    """One row per (strategy, agent count), strategy-major, counts ascending."""
+    return _run_cells([
+        (spec.topology, kind, kind.name, agents, spec.steps, spec.seed)
+        for kind in spec.strategies
+        for agents in sorted(spec.agent_counts)
+    ])
+
+
 def sweep_epsilon(epsilons, agents: int, topology: Topology,
                   steps: int = 300, seed: int = 0) -> list[EpsilonPoint]:
     """Efficiency/loss of epsilon-greedy across an exploration grid."""
-    # the line runs serially, but a bad MPSIM_THREADS fails here as it
-    # does in sweep_agents
-    _worker_count()
-    points = []
-    for eps in epsilons:
-        kind = StrategyKind("epsilon_greedy", epsilon=eps)
-        config = SimConfig(
-            topology=topology,
-            strategy=kind,
-            num_agents=agents,
-            engine=EngineParams(steps=steps),
-            seed=cell_seed(seed, f"epsilon_greedy[{eps}]", agents),
-        )
-        scores = score(run(config))
-        points.append(EpsilonPoint(epsilon=eps, efficiency=scores.efficiency,
-                                   loss=scores.loss))
-    return points
+    epsilons = tuple(epsilons)
+    rows = _run_cells([
+        (topology, StrategyKind("epsilon_greedy", epsilon=eps), f"epsilon_greedy[{eps}]",
+         agents, steps, seed)
+        for eps in epsilons
+    ])
+    return [EpsilonPoint(epsilon=eps, efficiency=row.efficiency, loss=row.loss)
+            for eps, row in zip(epsilons, rows)]
 
 
 def _format_value(value, raw: bool) -> str:

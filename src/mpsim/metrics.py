@@ -59,17 +59,6 @@ def loss(telemetry: Telemetry) -> float:
     return _step_means(telemetry)[1]
 
 
-def goodput(telemetry: Telemetry) -> float:
-    """Mean over steps of the capacity-limited delivered load."""
-    records = telemetry.records
-    if not records:
-        raise ValueError("telemetry has no records")
-    caps = telemetry.config.topology.capacities()
-    return sum(
-        sum(min(load, cap) for load, cap in zip(r.loads, caps)) for r in records
-    ) / len(records)
-
-
 def oscillation(telemetry: Telemetry) -> float:
     """Mean over steps of the population std of load across paths."""
     return _step_means(telemetry)[2]

@@ -1,9 +1,11 @@
 """Path selection policies.
 
-Every selector is a pure function of the agent's view of the network;
-the cyclic policies and epsilon-greedy thread their position/RNG through
-a per-agent StrategyState. Ties are always broken toward the lowest
-path id so that runs are order-stable and reproducible.
+Every selector is a pure function of the agent's view of the network.
+The cyclic policies and epsilon-greedy keep their cursor or rng in a
+StrategyState; the engine walks the cursors and draws from the rngs
+itself, since its loops decide for many agents at once. Ties are always
+broken toward the lowest path id so that runs are order-stable and
+reproducible.
 """
 
 from __future__ import annotations
@@ -96,15 +98,6 @@ def select_attribute_aware(views: Sequence[PathView], forbidden_tags: Iterable[s
     return select_min_rtt(admissible)
 
 
-def select_round_robin(state: StrategyState, path_count: int) -> int:
-    """Fixed rotation over path ids; advances the cursor by one."""
-    if path_count < 1:
-        raise ValueError("path_count must be >= 1")
-    path_id = 1 + state.rr_cursor % path_count
-    state.rr_cursor += 1
-    return path_id
-
-
 def wrr_schedule(capacities_mbps: Sequence[float]) -> tuple[int, ...]:
     """Build the smooth weighted-round-robin slot sequence.
 
@@ -131,45 +124,6 @@ def wrr_schedule(capacities_mbps: Sequence[float]) -> tuple[int, ...]:
         credits[chosen] -= period
         schedule.append(chosen + 1)
     return tuple(schedule)
-
-
-def select_wrr(state: StrategyState, schedule: Sequence[int]) -> int:
-    """Walk the precomputed smooth-WRR schedule; advances the cursor."""
-    if not schedule:
-        raise ValueError("empty schedule")
-    path_id = schedule[state.rr_cursor % len(schedule)]
-    state.rr_cursor += 1
-    return path_id
-
-
-def select_epsilon_greedy(state: StrategyState, views: Sequence[PathView], epsilon: float) -> int:
-    """Explore a uniformly random path with probability epsilon, else exploit min-RTT.
-
-    Exploration may land on the currently best path; both draws come
-    from the agent's own seeded stream, so decision sequences are
-    reproducible bit for bit.
-    """
-    if not views:
-        raise ValueError("cannot select from an empty path view")
-    if state.rng is None:
-        raise ValueError("epsilon-greedy needs a seeded rng in StrategyState")
-    explored = epsilon_explore(state.rng, epsilon, len(views))
-    if explored is not None:
-        return views[explored].path_id
-    return select_min_rtt(views)
-
-
-def epsilon_explore(rng: random.Random, epsilon: float, path_count: int) -> int | None:
-    """Epsilon-greedy's explore-or-exploit draw.
-
-    Returns the position of a uniformly random path to explore with
-    probability epsilon, or None to exploit. The exploit target depends
-    only on the shared view, so a caller deciding for many agents at
-    once can compute it a single time.
-    """
-    if rng.random() < epsilon:
-        return rng.randrange(path_count)
-    return None
 
 
 def select_blest(views: Sequence[PathView], filter_factor: float = DEFAULT_BLEST_FILTER) -> int:

@@ -4,6 +4,11 @@ Deliberately naive: plain dicts and per-agent loops, no code shared
 with mpsim.engine. Selection rules, the smooth-WRR schedule, and the
 window update are re-spelled here from scratch so the production
 engine has an independent implementation to be checked against.
+
+It also keeps the single-agent formulas that the engine inlines and
+the package therefore no longer exports: the RTT view, pro-rata loss,
+the AIMD update, the cursor walks, epsilon-greedy's selector and draw,
+and goodput. The unit tests check them as the model's specification.
 """
 
 import math
@@ -155,3 +160,84 @@ def oracle_agrees(telemetry):
                     and tuple(ref["overflows"]) == rec.overflows
                     and tuple(ref["rtts"]) == rec.inst_rtts
                     for ref, rec in zip(records, telemetry.records)))
+
+
+def rtt_instantaneous(base_rtt_ms, load_mbps, capacity_mbps, queue_scale_ms):
+    """Base RTT plus a queueing term that activates above capacity."""
+    if capacity_mbps <= 0:
+        raise ValueError("capacity must be positive")
+    if queue_scale_ms < 0:
+        raise ValueError("queue scale must be >= 0")
+    return base_rtt_ms + max(0.0, queue_scale_ms * (load_mbps / capacity_mbps - 1.0))
+
+
+def apportion_loss(agent_loads, capacity_mbps):
+    """Split a path's overflow across its senders, pro rata by contribution.
+
+    Returns (per-agent losses, overflow). Losses sum to the overflow
+    exactly (within float additive error).
+    """
+    total = sum(agent_loads)
+    overflow = max(0.0, total - capacity_mbps)
+    if overflow == 0.0 or total == 0.0:
+        return [0.0] * len(agent_loads), overflow
+    return [overflow * load / total for load in agent_loads], overflow
+
+
+def update_cwnd(cwnd, lost, path_rtt_ms, step_ms, params):
+    """One AIMD reaction: halve (clamped at the floor) on loss, otherwise
+    grow by alpha per path RTT, accrued fractionally each step."""
+    if lost:
+        return max(params.cwnd_floor, params.beta * cwnd)
+    return cwnd + params.alpha * (step_ms / path_rtt_ms)
+
+
+def select_round_robin(state, path_count):
+    """Fixed rotation over path ids; advances the cursor by one."""
+    if path_count < 1:
+        raise ValueError("path_count must be >= 1")
+    path_id = 1 + state.rr_cursor % path_count
+    state.rr_cursor += 1
+    return path_id
+
+
+def select_wrr(state, schedule):
+    """Walk the precomputed smooth-WRR schedule; advances the cursor."""
+    if not schedule:
+        raise ValueError("empty schedule")
+    path_id = schedule[state.rr_cursor % len(schedule)]
+    state.rr_cursor += 1
+    return path_id
+
+
+def epsilon_explore(rng, epsilon, path_count):
+    """The position of a uniformly random path to explore with
+    probability epsilon, or None to exploit."""
+    if rng.random() < epsilon:
+        return rng.randrange(path_count)
+    return None
+
+
+def select_epsilon_greedy(state, views, epsilon):
+    """Explore a uniformly random path with probability epsilon, else
+    exploit min-RTT (lowest path id on ties). Both draws come from the
+    agent's own seeded stream."""
+    if not views:
+        raise ValueError("cannot select from an empty path view")
+    if state.rng is None:
+        raise ValueError("epsilon-greedy needs a seeded rng in StrategyState")
+    explored = epsilon_explore(state.rng, epsilon, len(views))
+    if explored is not None:
+        return views[explored].path_id
+    return min(views, key=lambda v: (v.inst_rtt_ms, v.path_id)).path_id
+
+
+def goodput(telemetry):
+    """Mean over steps of the capacity-limited delivered load."""
+    records = telemetry.records
+    if not records:
+        raise ValueError("telemetry has no records")
+    caps = telemetry.config.topology.capacities()
+    return sum(
+        sum(min(load, cap) for load, cap in zip(r.loads, caps)) for r in records
+    ) / len(records)

@@ -6,11 +6,11 @@ criteria run on the default topology at 300 steps with seed 0 unless a
 criterion says otherwise.
 
 C01, C06 and C11 compare against REFERENCE_TABLE values. C07 instead
-checks what the documented model (README "Model", the update_cwnd and
-step docstrings) implies at its cell, written in the model's constants:
-its reference oscillation needs windows of 2.0 under loss on every step,
-which that model does not give. A model change that moves the C07 cell
-must update its derivation with it.
+checks what the documented model (README "Model", the step docstring
+and tests/reference.py's update_cwnd) implies at its cell, written in
+the model's constants: its reference oscillation needs windows of 2.0
+under loss on every step, which that model does not give. A model
+change that moves the C07 cell must update its derivation with it.
 """
 
 import functools
@@ -22,7 +22,6 @@ from mpsim import (
     EngineParams,
     SimConfig,
     StrategyKind,
-    apportion_loss,
     default_topology,
     emit_summary,
     jain_fairness,
@@ -34,7 +33,7 @@ from mpsim import (
     timeseries_csv,
 )
 from mpsim.experiment import SummaryRow
-from reference import oracle_agrees
+from reference import apportion_loss, oracle_agrees
 
 STRATEGIES = ("min_rtt", "min_load", "attribute_aware", "round_robin",
               "weighted_round_robin", "epsilon_greedy", "blest")

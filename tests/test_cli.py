@@ -128,6 +128,17 @@ class TestSweep:
             del os.environ["MPSIM_THREADS"]
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_parallel_epsilon_grid_matches_serial(self, tmp_path, monkeypatch):
+        serial = tmp_path / "serial.csv"
+        parallel = tmp_path / "parallel.csv"
+        args = ["sweep", "--epsilon-grid", "0,0.1,0.5", "--agents", "30", "--steps", "20",
+                "--raw"]
+        monkeypatch.delenv("MPSIM_THREADS", raising=False)
+        assert run_cli(args + ["--out", str(serial)]) == 0
+        monkeypatch.setenv("MPSIM_THREADS", "2")
+        assert run_cli(args + ["--out", str(parallel)]) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
+
 
 class TestReport:
     def test_rerenders_markdown(self, tmp_path, capsys):

