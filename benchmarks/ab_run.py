@@ -48,8 +48,13 @@ def _source(spec, scratch):
     """(directory holding the mpsim package, provenance) for one side."""
     if os.path.isdir(os.path.join(spec, "mpsim")):
         path = os.path.abspath(spec)
-        dirty = bool(_git("status", "--porcelain", "--", path))
-        return path, {"tree": spec, "commit": _git("rev-parse", "HEAD"), "dirty": dirty}
+        try:
+            commit = _git("-C", path, "rev-parse", "HEAD")
+            dirty = bool(_git("-C", path, "status", "--porcelain", "--", "."))
+        except subprocess.CalledProcessError:
+            # a directory outside any git checkout
+            commit = dirty = None
+        return path, {"tree": spec, "commit": commit, "dirty": dirty}
     commit = _git("rev-parse", "--verify", f"{spec}^{{commit}}")
     target = os.path.join(scratch, commit)
     archive = subprocess.run(["git", "archive", "--format=tar", commit, "src"],
