@@ -355,6 +355,14 @@ class TestCohortsAgainstOracle:
         assert len(set(telemetry.final_cwnds)) > 1
         assert oracle_agrees(telemetry)
 
+    # a one-path topology has a one-slot schedule: a single class state of
+    # all N agents, walked round by round (N = 3) or as one column
+    @pytest.mark.parametrize("agents", [3, 10, 301])
+    def test_wrr_single_class_matches_oracle(self, agents):
+        cfg = config("weighted_round_robin", agents=agents, steps=40,
+                     topology=paths_topology(1))
+        assert oracle_agrees(run(cfg))
+
     # epsilon 0 runs as one state; epsilon 1 explores on every draw, and
     # the explored index's rejection loop redraws a quarter (3 paths) or
     # half (2 and 4 paths) of its getrandbits draws
