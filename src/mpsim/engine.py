@@ -65,13 +65,15 @@ _STATELESS = frozenset({"min_rtt", "min_load", "attribute_aware", "blest"})
 # 6.7-7.1 us at 400, and 49-52 us against 8.3-9.1 us at 2000
 _PLAIN_LOOP_BELOW = 300
 _UNITS_PER_BINADE = 2 ** 53
-# from this many rounds of states on, _later_rounds sums each path's
-# column instead of walking the states round by round. Counted in
-# bytecodes executed by 60-step WRR runs on the default topology (23
-# cursor classes), the walk took 160,685 against 163,493 at N = 69 and
-# 173,315 against 178,765 at N = 80 (3 rounds), the columns 185,449
-# against 196,245 at N = 100 (4 rounds)
-_COLUMNS_FROM_ROUND = 4
+# from this many rounds of states on, _later_rounds tests whether each
+# path's column of windows is equal before it walks round by round. Timed
+# as run() of weighted round robin, 300 steps, on the default topology (23
+# cursor classes; benchmarks/ab_run.py's interleaving, 15 rounds, median
+# ratio to always walking): testing from 6 rounds on took 1.16-1.18x at N =
+# 150 (6 rounds) and 1.07-1.13x at N = 184 and 200 (8 rounds), whose
+# columns often differ, and 0.84-0.85x at N = 250 (10 rounds), 0.77x at N =
+# 276 and 0.66x at N = 500
+_COLUMNS_FROM_ROUND = 10
 
 
 @dataclass(frozen=True)
@@ -241,44 +243,35 @@ def _later_rounds(loads: list[float], agents: list[AgentState], num_agents: int,
     then the first N mod S states once more. Each path's part of one
     round is its states' windows in state order (a column), so its
     later load is that column repeated, then the column's prefix from
-    the partial round. A column of equal windows is one run of
-    additions; any other column is walked addition by addition.
+    the partial round. When every column holds equal windows, each path
+    is one run of additions; otherwise the states are walked round by
+    round.
     """
     rounds, rest = divmod(num_agents, len(agents))
-    if rounds < _COLUMNS_FROM_ROUND:
-        for agent in agents * (rounds - 1) + agents[:rest]:
-            loads[agent.chosen_path - 1] += agent.cwnd * mbps_per_cwnd
-        return
-    columns = [[] for _ in loads]
-    for agent in agents:
-        columns[agent.chosen_path - 1].append(agent.cwnd * mbps_per_cwnd)
-    heads = [0] * len(loads)
-    for agent in agents[:rest]:
-        heads[agent.chosen_path - 1] += 1
-    for i, column in enumerate(columns):
-        if not column:
-            continue
-        if column.count(column[0]) == len(column):
-            loads[i] = _repeated_add(loads[i], column[0], (rounds - 1) * len(column) + heads[i])
-            continue
-        total = loads[i]
-        for _ in range(rounds - 1):
-            for x in column:
-                total += x
-        for x in column[:heads[i]]:
-            total += x
-        loads[i] = total
+    if rounds >= _COLUMNS_FROM_ROUND:
+        columns = [[] for _ in loads]
+        for agent in agents:
+            columns[agent.chosen_path - 1].append(agent.cwnd * mbps_per_cwnd)
+        if all(column.count(column[0]) == len(column) for column in columns if column):
+            heads = [0] * len(loads)
+            for agent in agents[:rest]:
+                heads[agent.chosen_path - 1] += 1
+            for i, column in enumerate(columns):
+                if column:
+                    loads[i] = _repeated_add(loads[i], column[0],
+                                             (rounds - 1) * len(column) + heads[i])
+            return
+    for agent in agents * (rounds - 1) + agents[:rest]:
+        loads[agent.chosen_path - 1] += agent.cwnd * mbps_per_cwnd
 
 
 def step(agents: list[AgentState], topology: Topology, prev_record: StepRecord | None,
          config: SimConfig, schedule: tuple[int, ...] | None = None,
-         step_index: int = 0, draws: list[tuple] | None = None) -> StepRecord:
+         step_index: int = 0) -> StepRecord:
     """Advance the simulation one step, mutating the states in place.
 
     `agents` holds the states of all `config.num_agents` agents in
-    run()'s layout. `draws` holds each epsilon-greedy agent's bound
-    (random, getrandbits) pair from its rng, which run() binds once per
-    run; without it they are bound from the states' rngs on each call."""
+    run()'s layout."""
     strategy = config.strategy
     name = strategy.name
     aimd = config.aimd
@@ -299,20 +292,18 @@ def step(agents: list[AgentState], topology: Topology, prev_record: StepRecord |
         if len(agents) != config.num_agents:
             raise ValueError("epsilon_greedy needs one state per agent: each draws "
                              "from its own rng")
-        if draws is None:
-            draws = [(agent.strategy_state.rng.random, agent.strategy_state.rng.getrandbits)
-                     for agent in agents]
         exploit = select_min_rtt(_views(paths, prev_record))
         epsilon, path_count = strategy.epsilon, len(paths)
         # the explored index is rng.randrange(path_count), drawn as
         # CPython's Random._randbelow_with_getrandbits draws it (same
         # value, same rng state) without randrange's argument checks
         bits = path_count.bit_length()
-        for agent, (uniform, getrandbits) in zip(agents, draws):
-            if uniform() < epsilon:
-                explored = getrandbits(bits)
+        for agent in agents:
+            rng = agent.strategy_state.rng
+            if rng.random() < epsilon:
+                explored = rng.getrandbits(bits)
                 while explored >= path_count:
-                    explored = getrandbits(bits)
+                    explored = rng.getrandbits(bits)
                 # path ids run 1..P in topology order
                 path = explored + 1
             else:
@@ -386,14 +377,11 @@ def run(config: SimConfig) -> Telemetry:
     """Execute a full simulation; same config and seed give identical telemetry."""
     strategy, agent_count = config.strategy, config.num_agents
     initial_cwnd = float(config.aimd.initial_cwnd)
-    schedule = draws = None
+    schedule = None
     if strategy.name == "epsilon_greedy" and strategy.epsilon:
-        agents, draws = [], []
-        for i in range(agent_count):
-            rng = random.Random(f"{config.seed}:{i}")
-            agents.append(AgentState(agent_id=i, cwnd=initial_cwnd,
-                                     strategy_state=StrategyState(rng=rng)))
-            draws.append((rng.random, rng.getrandbits))
+        agents = [AgentState(agent_id=i, cwnd=initial_cwnd,
+                             strategy_state=StrategyState(rng=random.Random(f"{config.seed}:{i}")))
+                  for i in range(agent_count)]
     else:
         classes = 1
         if strategy.name == "weighted_round_robin":
@@ -410,7 +398,7 @@ def run(config: SimConfig) -> Telemetry:
     records: list[StepRecord] = []
     prev: StepRecord | None = None
     for t in range(config.engine.steps):
-        prev = step(agents, config.topology, prev, config, schedule, step_index=t, draws=draws)
+        prev = step(agents, config.topology, prev, config, schedule, step_index=t)
         records.append(prev)
     # agent i is state i mod S: repeat the S windows in agent order
     cwnds = [agent.cwnd for agent in agents]

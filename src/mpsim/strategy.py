@@ -69,7 +69,8 @@ class StrategyKind:
 
 @dataclass(slots=True)
 class StrategyState:
-    """Mutable per-agent strategy state; never shared between agents."""
+    """The mutable strategy state of one AgentState, which may stand for
+    several agents that share a cursor."""
 
     rr_cursor: int = 0
     rng: random.Random | None = None
