@@ -70,9 +70,9 @@ _UNITS_PER_BINADE = 2 ** 53
 # as run() of weighted round robin, 300 steps, on the default topology (23
 # cursor classes; benchmarks/ab_run.py's interleaving, 15 rounds, median
 # ratio to always walking): testing from 6 rounds on took 1.16-1.18x at N =
-# 150 (6 rounds) and 1.07-1.13x at N = 184 and 200 (8 rounds), whose
-# columns often differ, and 0.84-0.85x at N = 250 (10 rounds), 0.77x at N =
-# 276 and 0.66x at N = 500
+# 150 (6 rounds) and 1.07-1.13x at N = 184 and 200 (8 rounds), where some
+# column differs on 299, 299 and 150 of the 300 steps, and 0.84-0.85x at
+# N = 250 (10 rounds), 0.77x at N = 276 and 0.66x at N = 500, where none does
 _COLUMNS_FROM_ROUND = 10
 
 
