@@ -69,10 +69,11 @@ _UNITS_PER_BINADE = 2 ** 53
 # path's column of windows is equal before it walks round by round. Timed
 # as run() of weighted round robin, 300 steps, on the default topology (23
 # cursor classes; benchmarks/ab_run.py's interleaving, 15 rounds, median
-# ratio to always walking): testing from 6 rounds on took 1.16-1.18x at N =
-# 150 (6 rounds) and 1.07-1.13x at N = 184 and 200 (8 rounds), where some
-# column differs on 299, 299 and 150 of the 300 steps, and 0.84-0.85x at
-# N = 250 (10 rounds), 0.77x at N = 276 and 0.66x at N = 500, where none does
+# ratio to always walking, 2-vCPU x86_64 host, CPython 3.11.7): testing
+# from 6 rounds on took 1.16-1.18x at N = 150 (6 rounds) and 1.08-1.13x at
+# N = 184 and 200 (8 rounds), where some column differs on 299, 299 and 150
+# of the 300 steps, and 0.84-0.85x at N = 250 (10 rounds), 0.77x at N = 276
+# and 0.66x at N = 500, where none does
 _COLUMNS_FROM_ROUND = 10
 
 
