@@ -1,4 +1,4 @@
-"""Interleaved before/after timing of run(), both sides in one interpreter.
+"""Interleaved before/after timing of mpsim, both sides in one interpreter.
 
     python3 benchmarks/ab_run.py BEFORE AFTER [--rounds 20] [--min-ms 20] > BENCH_<n>.json
 
@@ -8,20 +8,29 @@ directory, or a directory that holds the mpsim package (`src` for the
 working tree). Both packages are imported into this interpreter under
 their own names. Every round times each cell on both sides back to
 back, alternating which side goes first, so a slow spell of the host
-slows both samples of a pair. A sample is the fastest of enough run()
-calls to fill --min-ms. Per cell the JSON gives the median and quartiles
-over rounds of the paired ratio after/before (below 1 is faster), each
-side's median sample, and whether both sides' telemetry is equal. It
+slows both samples of a pair. A sample is the fastest of enough calls
+to fill --min-ms. Per cell the JSON gives the median and quartiles over
+rounds of the paired ratio after/before (below 1 is faster), each
+side's median sample, and whether both sides' outputs are equal. It
 also records nproc, the CPU, the Python version and both commits.
 
-Cells are the default topology, 300 steps, seed 0 and default AIMD:
-weighted round robin at N = 10, 25, 50, 100 and 500, epsilon-greedy at
-epsilon 0, 0.1 and 0.5 with N = 10 and 500 and at epsilon 0.1 with N =
-25 and 50, and min_rtt and round robin, which the engine steps as one
-state, at N = 10 and 500.
+Cells use the default topology, 300 steps, seed 0 and default AIMD:
+- `run()` of weighted round robin at N = 10, 25, 50, 100 and 500,
+  epsilon-greedy at epsilon 0, 0.1 and 0.5 with N = 10 and 500 and at
+  epsilon 0.1 with N = 25 and 50, and min_rtt and round robin at N = 10
+  and 500; every strategy at N = 5000, and the five that run() steps
+  as one state at N = 100,000;
+- `score()` of a telemetry built outside the timed call, for min_rtt
+  (one distinct window) and epsilon-greedy (many) at N = 10 and 500;
+- `emit_summary()` of the raw CSV of the 49 rows of the sweep below,
+  built outside the timed call;
+- `sweep_agents()` over the 49-cell reproduction grid (every strategy
+  at the default agent counts), serial: the harness unsets
+  MPSIM_THREADS.
 """
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 import os
@@ -33,10 +42,15 @@ import tarfile
 import tempfile
 import time
 
-CELLS = ([("weighted_round_robin", 0.1, n) for n in (10, 25, 50, 100, 500)]
-         + [("epsilon_greedy", eps, n) for eps in (0.0, 0.1, 0.5) for n in (10, 500)]
-         + [("epsilon_greedy", 0.1, n) for n in (25, 50)]
-         + [(name, 0.1, n) for name in ("min_rtt", "round_robin") for n in (10, 500)])
+SHARED = ("min_rtt", "min_load", "attribute_aware", "blest", "round_robin")
+STRATEGIES = SHARED + ("weighted_round_robin", "epsilon_greedy")
+RUN_CELLS = ([("weighted_round_robin", 0.1, n) for n in (10, 25, 50, 100, 500)]
+             + [("epsilon_greedy", eps, n) for eps in (0.0, 0.1, 0.5) for n in (10, 500)]
+             + [("epsilon_greedy", 0.1, n) for n in (25, 50)]
+             + [(name, 0.1, n) for name in ("min_rtt", "round_robin") for n in (10, 500)]
+             + [(name, 0.1, 5000) for name in STRATEGIES]
+             + [(name, 0.1, 100_000) for name in SHARED])
+SCORE_CELLS = [(name, n) for n in (10, 500) for name in ("min_rtt", "epsilon_greedy")]
 
 
 def _git(*args):
@@ -84,16 +98,52 @@ def _config(mpsim, strategy, epsilon, agents):
                            num_agents=agents, engine=mpsim.EngineParams(steps=300))
 
 
-def _outputs(telemetry):
-    return ([(r.step, r.loads, r.overflows, r.inst_rtts) for r in telemetry.records],
-            telemetry.final_cwnds)
+def _grid(mpsim):
+    return mpsim.SweepSpec(topology=mpsim.default_topology(),
+                           strategies=mpsim.all_strategies())
 
 
-def _sample(mpsim, config, calls):
+def _run_cell(strategy, epsilon, agents):
+    def build(mpsim):
+        config = _config(mpsim, strategy, epsilon, agents)
+        return lambda: mpsim.run(config)
+    return f"{strategy}[{epsilon}]-{agents}", build, lambda telemetry: (
+        [(r.step, r.loads, r.overflows, r.inst_rtts) for r in telemetry.records],
+        telemetry.final_cwnds)
+
+
+def _score_cell(strategy, agents):
+    def build(mpsim):
+        telemetry = mpsim.run(_config(mpsim, strategy, 0.1, agents))
+        return lambda: mpsim.score(telemetry)
+    return f"score:{strategy}-{agents}", build, dataclasses.astuple
+
+
+def _emit_cell():
+    def build(mpsim):
+        rows = mpsim.sweep_agents(_grid(mpsim))
+        return lambda: mpsim.emit_summary(rows, raw=True)
+    return "emit_summary:raw-49", build, str
+
+
+def _sweep_cell():
+    def build(mpsim):
+        spec = _grid(mpsim)
+        return lambda: mpsim.sweep_agents(spec)
+    return "sweep_agents:serial-49", build, lambda rows: [dataclasses.astuple(r) for r in rows]
+
+
+# each cell is (name, build, output): build(mpsim) makes the call a sample
+# times, and output turns its result into a value compared across sides
+CELLS = ([_run_cell(*cell) for cell in RUN_CELLS]
+         + [_score_cell(*cell) for cell in SCORE_CELLS] + [_emit_cell(), _sweep_cell()])
+
+
+def _sample(call, repeats):
     best = float("inf")
-    for _ in range(calls):
+    for _ in range(repeats):
         start = time.perf_counter_ns()
-        mpsim.run(config)
+        call()
         best = min(best, time.perf_counter_ns() - start)
     return best / 1e6
 
@@ -122,7 +172,7 @@ def main(argv=None):
     parser.add_argument("after")
     parser.add_argument("--rounds", type=int, default=20)
     parser.add_argument("--min-ms", type=float, default=20.0,
-                        help="fill each sample with this many ms of run() calls")
+                        help="fill each sample with this many ms of calls")
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.min_ms <= 0:
         parser.error("--rounds and --min-ms must be positive")
@@ -138,23 +188,23 @@ def _measure(args, scratch):
     after_src, after_info = _source(args.after, scratch)
     sides = (_load(before_src, "mpsim_before"), _load(after_src, "mpsim_after"))
 
+    os.environ.pop("MPSIM_THREADS", None)
     cells = []
-    for strategy, epsilon, agents in CELLS:
-        configs = [_config(side, strategy, epsilon, agents) for side in sides]
-        outputs = [_outputs(side.run(config)) for side, config in zip(sides, configs)]
-        once = max(_sample(side, config, 1) for side, config in zip(sides, configs))
-        calls = max(1, round(args.min_ms / max(once, 1e-3)))
-        cells.append((f"{strategy}[{epsilon}]-{agents}", configs, calls,
-                      outputs[0] == outputs[1], [[], []]))
+    for name, build, output in CELLS:
+        calls = [build(side) for side in sides]
+        outputs = [output(call()) for call in calls]
+        once = max(_sample(call, 1) for call in calls)
+        repeats = max(1, round(args.min_ms / max(once, 1e-3)))
+        cells.append((name, calls, repeats, outputs[0] == outputs[1], [[], []]))
 
     for index in range(args.rounds):
         order = (0, 1) if index % 2 == 0 else (1, 0)
-        for _, configs, calls, _, samples in cells:
+        for _, calls, repeats, _, samples in cells:
             for side in order:
-                samples[side].append(_sample(sides[side], configs[side], calls))
+                samples[side].append(_sample(calls[side], repeats))
 
     report = {}
-    for name, _, calls, identical, (before, after) in cells:
+    for name, _, repeats, identical, (before, after) in cells:
         ratios = [a / b for a, b in zip(after, before)]
         q1, q3 = _quartiles(ratios)
         report[name] = {
@@ -163,7 +213,7 @@ def _measure(args, scratch):
             "ratio_median": statistics.median(ratios),
             "ratio_q1": q1,
             "ratio_q3": q3,
-            "calls_per_sample": calls,
+            "calls_per_sample": repeats,
             "identical": identical,
         }
     return {

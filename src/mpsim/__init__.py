@@ -38,7 +38,6 @@ from .strategy import (
     STRATEGY_NAMES,
     PathView,
     StrategyKind,
-    StrategyState,
     select_attribute_aware,
     select_blest,
     select_min_load,

@@ -10,23 +10,27 @@ the final windows; the metrics layer consumes nothing else.
 A step computes once whatever is the same for every agent: the choice
 of the shared-choice strategies, epsilon-greedy's exploit target, and,
 in one pass over the paths, each path's overflow, RTT, loss flag and
-loss-free window increment. The path views a selector reads are built
-only for those two choices; round robin and weighted round robin read
-none, so their steps build none. The loops over states only pick a
-path, add the window to that path's load in agent order (the same float
-sum as one addition per agent) and apply their path's outcome, with no
-function call per agent.
+loss-free window increment. `_SHARED_CHOICE` holds one rule per
+shared-choice strategy; a rule builds the path views only if its
+selector reads them. The loops over states only pick a path, add the
+window to that path's load in agent order (the same float sum as one
+addition per agent) and apply their path's outcome, with no function
+call per agent.
 
 Cohorts: run() lays the N agents out as S states, state k standing for
-agents k, k + S, k + 2S, ... (its `count`), which share a window, a
-cursor and a choice. Agents that start equal and always choose alike
-stay identical. A shared-choice strategy picks a pure function of the
-shared path view; so does epsilon-greedy at epsilon 0, which never
-explores; and round robin's cursors all start at 0. run() steps those
-as one state (S = 1). Weighted round robin staggers agent i's cursor to
-slot i mod L of its L-slot schedule, so agents of one cursor class
-i mod L stay identical: S = min(N, L). Epsilon-greedy at epsilon > 0
-draws from one rng per agent: S = N. Agent order visits the states
+agents k, k + S, k + 2S, ... (its `count`), which share a window and a
+choice. Agents that start equal and always choose alike stay identical.
+A shared-choice strategy picks a function of the shared path view and
+the step index t: min-RTT, min-load, attribute-aware and BLEST read the
+view; epsilon-greedy at epsilon 0 never explores, so it is min-RTT; and
+round robin's cursors all start at 0, so every agent picks path
+1 + t mod P. run() steps those as one state (S = 1). Weighted round
+robin staggers agent i's cursor to slot i mod L of its L-slot schedule
+and advances it once a step, so it picks slot (i + t) mod L and the
+agents of one cursor class i mod L stay identical: S = min(N, L).
+Epsilon-greedy at epsilon > 0 draws from one rng per agent: S = N. No
+state holds a cursor; it follows from `agent_id` and the step index,
+which step() reads off the previous record. Agent order visits the states
 round by round, so a path's load is the sequential float sum over that
 periodic sequence, bit for bit the per-agent sum; `_repeated_add`
 computes a run of equal windows in O(log count) instead of O(count).
@@ -44,7 +48,6 @@ from dataclasses import dataclass
 from .strategy import (
     PathView,
     StrategyKind,
-    StrategyState,
     select_attribute_aware,
     select_blest,
     select_min_load,
@@ -52,11 +55,6 @@ from .strategy import (
     wrr_schedule,
 )
 from .topology import HIGH_COST_TAG, PathSpec, Topology
-
-# strategies whose choice is a pure function of the shared view, hence
-# identical for every agent within a step (so is epsilon-greedy's at
-# epsilon 0)
-_STATELESS = frozenset({"min_rtt", "min_load", "attribute_aware", "blest"})
 
 # below this count a plain loop of additions beats the binade walk of
 # _repeated_add. Summing four non-dyadic windows from 0.0 (best of 5 x 200
@@ -88,14 +86,12 @@ class AimdParams:
     mbps_per_cwnd: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        # every check is written so that NaN fails it
+        for name in ("initial_cwnd", "alpha", "cwnd_floor", "mbps_per_cwnd"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if self.cwnd_floor <= 0:
-            raise ValueError("cwnd_floor must be positive")
-        if self.mbps_per_cwnd <= 0:
-            raise ValueError("mbps_per_cwnd must be positive")
 
 
 @dataclass(frozen=True)
@@ -107,31 +103,32 @@ class EngineParams:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.step_ms <= 0:
-            raise ValueError("step_ms must be positive")
-        if self.queue_scale_ms < 0:
-            raise ValueError("queue_scale_ms must be >= 0")
+        if not 0.0 < self.step_ms < math.inf:
+            raise ValueError("step_ms must be positive and finite")
+        if not 0.0 <= self.queue_scale_ms < math.inf:
+            raise ValueError("queue_scale_ms must be finite and >= 0")
 
 
 @dataclass(slots=True)
 class AgentState:
     """The mutable state of the `count` agents `agent_id`, `agent_id` + S,
     `agent_id` + 2S, ... of a run laid out as S states, which share a
-    window, a cursor and a choice.
+    window and a choice.
 
     step() adds the window to the chosen path's load once per agent, in
     agent order, and applies one AIMD update to the state, whatever its
     count. Agents stay identical only while they choose alike: run()
-    builds one state of count N for the shared-choice strategies, round
-    robin and epsilon-greedy at epsilon 0, one state per cursor class for
-    weighted round robin, and singletons for epsilon-greedy at epsilon >
-    0. step() takes the states of all `config.num_agents` agents, and
-    refuses epsilon-greedy states that are not singletons where it draws.
+    builds one state of count N for the shared-choice strategies, one
+    state per cursor class for weighted round robin, whose cursor is
+    `agent_id` plus the step index, and singletons for epsilon-greedy at
+    epsilon > 0, each with its own `rng`. step() takes the states of all
+    `config.num_agents` agents, and refuses epsilon-greedy states that
+    are not singletons where it draws.
     """
 
     agent_id: int
     cwnd: float
-    strategy_state: StrategyState
+    rng: random.Random | None = None
     chosen_path: int | None = None
     count: int = 1
 
@@ -220,18 +217,28 @@ def _views(paths: tuple[PathSpec, ...], prev: StepRecord | None) -> list[PathVie
             for path, rtt, load in zip(paths, prev.inst_rtts, prev.loads)]
 
 
-def _stateless_choice(strategy: StrategyKind, views: list[PathView],
-                      forbidden_tags: frozenset[str]) -> int:
-    if strategy.name == "min_rtt":
-        return select_min_rtt(views)
-    if strategy.name == "min_load":
-        return select_min_load(views)
-    if strategy.name == "attribute_aware":
-        return select_attribute_aware(views, forbidden_tags)
-    if strategy.name == "blest":
-        return select_blest(views, strategy.filter_factor)
-    # epsilon-greedy at epsilon 0 always exploits
-    return select_min_rtt(views)
+# the strategies whose agents all choose alike: name -> rule(config,
+# previous record, step index) giving the one path of the step. The
+# selectors are looked up as module globals on every call. Round robin's
+# cursors all start at 0 and advance once a step
+_SHARED_CHOICE = {
+    "min_rtt": lambda config, prev, t: select_min_rtt(_views(config.topology.paths, prev)),
+    "min_load": lambda config, prev, t: select_min_load(_views(config.topology.paths, prev)),
+    "attribute_aware": lambda config, prev, t: select_attribute_aware(
+        _views(config.topology.paths, prev), config.forbidden_tags),
+    "blest": lambda config, prev, t: select_blest(_views(config.topology.paths, prev),
+                                                 config.strategy.filter_factor),
+    "round_robin": lambda config, prev, t: 1 + t % len(config.topology.paths),
+}
+
+
+def _shared_choice(strategy: StrategyKind):
+    """The strategy's rule in _SHARED_CHOICE, or None where its agents
+    choose apart. Epsilon-greedy at epsilon 0 never explores: it is
+    min-RTT for every agent."""
+    if strategy.name == "epsilon_greedy" and not strategy.epsilon:
+        return _SHARED_CHOICE["min_rtt"]
+    return _SHARED_CHOICE.get(strategy.name)
 
 
 def _later_rounds(loads: list[float], agents: list[AgentState], num_agents: int,
@@ -266,22 +273,23 @@ def _later_rounds(loads: list[float], agents: list[AgentState], num_agents: int,
         loads[agent.chosen_path - 1] += agent.cwnd * mbps_per_cwnd
 
 
-def step(agents: list[AgentState], topology: Topology, prev_record: StepRecord | None,
-         config: SimConfig, schedule: tuple[int, ...] | None = None,
-         step_index: int = 0) -> StepRecord:
+def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimConfig,
+         schedule: tuple[int, ...] | None = None) -> StepRecord:
     """Advance the simulation one step, mutating the states in place.
 
     `agents` holds the states of all `config.num_agents` agents in
-    run()'s layout."""
+    run()'s layout; `schedule` is weighted round robin's wrr_schedule.
+    The step index follows `prev_record`'s."""
+    t = 0 if prev_record is None else prev_record.step + 1
     strategy = config.strategy
-    name = strategy.name
     aimd = config.aimd
     mbps_per_cwnd = aimd.mbps_per_cwnd
-    paths = topology.paths
+    paths = config.topology.paths
     loads = [0.0] * len(paths)
 
-    if name in _STATELESS or (name == "epsilon_greedy" and not strategy.epsilon):
-        choice = _stateless_choice(strategy, _views(paths, prev_record), config.forbidden_tags)
+    rule = _shared_choice(strategy)
+    if rule:
+        choice = rule(config, prev_record, t)
         # the states hold equal windows (they start equal and choose
         # alike), so adding them state by state is the agent-order sum
         total = 0.0
@@ -289,7 +297,7 @@ def step(agents: list[AgentState], topology: Topology, prev_record: StepRecord |
             agent.chosen_path = choice
             total = _repeated_add(total, agent.cwnd * mbps_per_cwnd, agent.count)
         loads[choice - 1] = total
-    elif name == "epsilon_greedy":
+    elif strategy.name == "epsilon_greedy":
         if len(agents) != config.num_agents:
             raise ValueError("epsilon_greedy needs one state per agent: each draws "
                              "from its own rng")
@@ -300,7 +308,7 @@ def step(agents: list[AgentState], topology: Topology, prev_record: StepRecord |
         # value, same rng state) without randrange's argument checks
         bits = path_count.bit_length()
         for agent in agents:
-            rng = agent.strategy_state.rng
+            rng = agent.rng
             if rng.random() < epsilon:
                 explored = rng.getrandbits(bits)
                 while explored >= path_count:
@@ -311,29 +319,18 @@ def step(agents: list[AgentState], topology: Topology, prev_record: StepRecord |
                 path = exploit
             agent.chosen_path = path
             loads[path - 1] += agent.cwnd * mbps_per_cwnd
-    elif name == "weighted_round_robin":
-        # the cursor walk through the smooth schedule
+    else:
+        # weighted round robin: state k's cursor starts at slot k and
+        # advances once a step through the smooth schedule
         if not schedule:
             raise ValueError("weighted_round_robin needs its non-empty wrr_schedule")
         period = len(schedule)
         for agent in agents:
-            state = agent.strategy_state
-            path = schedule[state.rr_cursor % period]
-            state.rr_cursor += 1
+            path = schedule[(agent.agent_id + t) % period]
             agent.chosen_path = path
             loads[path - 1] += agent.cwnd * mbps_per_cwnd
         if len(agents) < config.num_agents:
             _later_rounds(loads, agents, config.num_agents, mbps_per_cwnd)
-    else:
-        # round robin cycles through the path ids. Its cursors all start at
-        # 0, so run() steps it as one state of N consecutive agents
-        for agent in agents:
-            state = agent.strategy_state
-            path = 1 + state.rr_cursor % len(paths)
-            state.rr_cursor += 1
-            agent.chosen_path = path
-            loads[path - 1] = _repeated_add(loads[path - 1], agent.cwnd * mbps_per_cwnd,
-                                            agent.count)
 
     # one pass over the paths. The RTT is the base RTT plus a queueing
     # term above capacity, with max and min spelled as comparisons (the
@@ -370,7 +367,7 @@ def step(agents: list[AgentState], topology: Topology, prev_record: StepRecord |
         else:
             agent.cwnd += growth[i]
 
-    return StepRecord(step=step_index, loads=tuple(loads), overflows=tuple(overflows),
+    return StepRecord(step=t, loads=tuple(loads), overflows=tuple(overflows),
                       inst_rtts=tuple(inst_rtts))
 
 
@@ -379,27 +376,26 @@ def run(config: SimConfig) -> Telemetry:
     strategy, agent_count = config.strategy, config.num_agents
     initial_cwnd = float(config.aimd.initial_cwnd)
     schedule = None
-    if strategy.name == "epsilon_greedy" and strategy.epsilon:
+    if _shared_choice(strategy):
+        agents = [AgentState(agent_id=0, cwnd=initial_cwnd, count=agent_count)]
+    elif strategy.name == "epsilon_greedy":
         agents = [AgentState(agent_id=i, cwnd=initial_cwnd,
-                             strategy_state=StrategyState(rng=random.Random(f"{config.seed}:{i}")))
+                             rng=random.Random(f"{config.seed}:{i}"))
                   for i in range(agent_count)]
     else:
-        classes = 1
-        if strategy.name == "weighted_round_robin":
-            schedule = wrr_schedule(config.topology.capacities())
-            # stagger agent i's start slot to i mod L so concurrent windows
-            # spread over the schedule instead of marching on one path per
-            # step; each cursor class is one state
-            classes = min(agent_count, len(schedule))
+        # weighted round robin staggers agent i's start slot to i mod L so
+        # concurrent windows spread over the schedule instead of marching
+        # on one path per step; each cursor class is one state
+        schedule = wrr_schedule(config.topology.capacities())
+        classes = min(agent_count, len(schedule))
         rounds, rest = divmod(agent_count, classes)
-        agents = [AgentState(agent_id=k, cwnd=initial_cwnd,
-                             strategy_state=StrategyState(rr_cursor=k), count=rounds + (k < rest))
+        agents = [AgentState(agent_id=k, cwnd=initial_cwnd, count=rounds + (k < rest))
                   for k in range(classes)]
 
     records: list[StepRecord] = []
     prev: StepRecord | None = None
     for t in range(config.engine.steps):
-        prev = step(agents, config.topology, prev, config, schedule, step_index=t)
+        prev = step(agents, prev, config, schedule)
         records.append(prev)
     # agent i is state i mod S: repeat the S windows in agent order
     cwnds = [agent.cwnd for agent in agents]

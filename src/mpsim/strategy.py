@@ -1,17 +1,16 @@
 """Path selection policies.
 
 Every selector is a pure function of the agent's view of the network.
-The cyclic policies and epsilon-greedy keep their cursor or rng in a
-StrategyState; the engine walks the cursors and draws from the rngs
-itself, since its loops decide for many agents at once. Ties are always
-broken toward the lowest path id so that runs are order-stable and
-reproducible.
+The cyclic policies and epsilon-greedy have no selector here: the
+engine derives their cursors from the step index and draws from each
+agent's rng itself, since its loops decide for many agents at once.
+Ties are always broken toward the lowest path id so that runs are
+order-stable and reproducible.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -63,17 +62,8 @@ class StrategyKind:
             )
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
-        if self.filter_factor < 1.0:
-            raise ValueError("filter_factor must be >= 1")
-
-
-@dataclass(slots=True)
-class StrategyState:
-    """The mutable strategy state of one AgentState, which may stand for
-    several agents that share a cursor."""
-
-    rr_cursor: int = 0
-    rng: random.Random | None = None
+        if not 1.0 <= self.filter_factor < math.inf:
+            raise ValueError("filter_factor must be finite and >= 1")
 
 
 def select_min_rtt(views: Sequence[PathView]) -> int:

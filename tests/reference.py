@@ -9,6 +9,9 @@ It also keeps the single-agent formulas that the engine inlines and
 the package therefore no longer exports: the RTT view, pro-rata loss,
 the AIMD update, the cursor walks, epsilon-greedy's selector and draw,
 and goodput. The unit tests check them as the model's specification.
+The cursor walks and epsilon-greedy's selector advance one agent's
+`SelectorState`; the engine keeps no such state, since its cursors
+follow from the step index.
 """
 
 import math
@@ -192,6 +195,14 @@ def update_cwnd(cwnd, lost, path_rtt_ms, step_ms, params):
     return cwnd + params.alpha * (step_ms / path_rtt_ms)
 
 
+class SelectorState:
+    """One agent's cyclic cursor and seeded rng, for the helpers below."""
+
+    def __init__(self, rr_cursor=0, rng=None):
+        self.rr_cursor = rr_cursor
+        self.rng = rng
+
+
 def select_round_robin(state, path_count):
     """Fixed rotation over path ids; advances the cursor by one."""
     if path_count < 1:
@@ -225,7 +236,7 @@ def select_epsilon_greedy(state, views, epsilon):
     if not views:
         raise ValueError("cannot select from an empty path view")
     if state.rng is None:
-        raise ValueError("epsilon-greedy needs a seeded rng in StrategyState")
+        raise ValueError("epsilon-greedy needs a seeded rng in SelectorState")
     explored = epsilon_explore(state.rng, epsilon, len(views))
     if explored is not None:
         return views[explored].path_id

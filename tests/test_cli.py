@@ -107,7 +107,9 @@ class TestSweep:
     def test_unknown_strategy_exits_2(self, capsys):
         code = run_cli(["sweep", "--strategies", "minrtt", "--steps", "5"])
         assert code == 2
-        assert "valid names" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: unknown strategy 'minrtt'; valid names: min_rtt, min_load, "
+            "attribute_aware, round_robin, weighted_round_robin, epsilon_greedy, blest\n")
 
     def test_markdown_format(self, capsys):
         code = run_cli(["sweep", "--strategies", "blest", "--agents-list", "10",

@@ -1,4 +1,6 @@
+import math
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,6 @@ from mpsim import (
     PathSpec,
     SimConfig,
     StrategyKind,
-    StrategyState,
     Topology,
     default_topology,
     run,
@@ -96,6 +97,25 @@ class TestParamValidation:
     def test_beta_range(self):
         with pytest.raises(ValueError):
             AimdParams(beta=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("params, field", [
+        (AimdParams, "initial_cwnd"), (AimdParams, "alpha"), (AimdParams, "beta"),
+        (AimdParams, "cwnd_floor"), (AimdParams, "mbps_per_cwnd"),
+        (EngineParams, "step_ms"), (EngineParams, "queue_scale_ms"),
+        (partial(StrategyKind, "epsilon_greedy"), "epsilon"),
+        (partial(StrategyKind, "blest"), "filter_factor"),
+    ])
+    def test_non_finite_rejected(self, params, field, value):
+        # a NaN would otherwise pass a plain `x <= 0` check and run to a
+        # quiet NaN score
+        with pytest.raises(ValueError, match=field):
+            params(**{field: value})
+
+    @pytest.mark.parametrize("initial_cwnd", [0.0, -1.0])
+    def test_initial_cwnd_positive(self, initial_cwnd):
+        with pytest.raises(ValueError, match="initial_cwnd"):
+            AimdParams(initial_cwnd=initial_cwnd)
 
     def test_steps_positive(self):
         with pytest.raises(ValueError):
@@ -323,6 +343,36 @@ class TestStepContract:
         assert calls == list(range(cfg.engine.steps))
         assert [r.step for r in telemetry.records] == calls
 
+    def test_shared_choice_table_and_per_agent_layouts_cover_every_name(self):
+        # step() reaches weighted round robin's branch by elimination
+        shared = set(mpsim.engine._SHARED_CHOICE)
+        per_agent = {"epsilon_greedy", "weighted_round_robin"}
+        assert not shared & per_agent
+        assert shared | per_agent == set(STRATEGY_NAMES)
+
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_step_by_hand_reproduces_run(self, strategy):
+        # step() derives the step index from the previous record, which
+        # drives the round-robin and weighted-round-robin cursors
+        cfg = config(strategy, agents=50, steps=40, seed=4)
+        schedule = None
+        if strategy == "epsilon_greedy":
+            agents = [AgentState(agent_id=i, cwnd=1.0, rng=random.Random(f"4:{i}"))
+                      for i in range(50)]
+        elif strategy == "weighted_round_robin":
+            schedule = wrr_schedule(cfg.topology.capacities())
+            # 50 agents over 23 cursor classes: two full rounds, then 4 more
+            agents = [AgentState(agent_id=k, cwnd=1.0, count=3 if k < 4 else 2)
+                      for k in range(len(schedule))]
+        else:
+            agents = [AgentState(agent_id=0, cwnd=1.0, count=50)]
+        records = []
+        prev = None
+        for _ in range(cfg.engine.steps):
+            prev = mpsim.engine.step(agents, prev, cfg, schedule)
+            records.append(prev)
+        assert tuple(records) == run(cfg).records
+
 
 class TestCohortsAgainstOracle:
     # above _PLAIN_LOOP_BELOW a cohort's load goes through the binade walk;
@@ -433,10 +483,9 @@ class TestCohortStates:
 
     def test_epsilon_greedy_refuses_a_shared_state(self):
         cfg = config("epsilon_greedy", agents=2, steps=1)
-        state = StrategyState(rng=random.Random(0))
-        agents = [AgentState(agent_id=0, cwnd=1.0, strategy_state=state, count=2)]
+        agents = [AgentState(agent_id=0, cwnd=1.0, rng=random.Random(0), count=2)]
         with pytest.raises(ValueError, match="one state per agent"):
-            mpsim.engine.step(agents, cfg.topology, None, cfg)
+            mpsim.engine.step(agents, None, cfg)
 
 
 class TestHerdInvariant:
@@ -467,14 +516,13 @@ class TestExploreDraw:
         topology = paths_topology(path_count)
         for seed in range(4):
             cfg = config("epsilon_greedy", agents=3, seed=seed, epsilon=1.0, topology=topology)
-            agents = [AgentState(agent_id=i, cwnd=1.0,
-                                 strategy_state=StrategyState(rng=random.Random(f"{seed}:{i}")))
+            agents = [AgentState(agent_id=i, cwnd=1.0, rng=random.Random(f"{seed}:{i}"))
                       for i in range(3)]
             twins = [random.Random(f"{seed}:{i}") for i in range(3)]
             prev = None
-            for t in range(6):
-                prev = mpsim.engine.step(agents, topology, prev, cfg, step_index=t)
+            for _ in range(6):
+                prev = mpsim.engine.step(agents, prev, cfg)
                 for agent, twin in zip(agents, twins):
                     assert twin.random() < 1.0
                     assert agent.chosen_path == twin.randrange(path_count) + 1
-                    assert agent.strategy_state.rng.getstate() == twin.getstate()
+                    assert agent.rng.getstate() == twin.getstate()

@@ -7,14 +7,13 @@ from hypothesis import given, strategies as st
 from mpsim import (
     PathView,
     StrategyKind,
-    StrategyState,
     select_attribute_aware,
     select_blest,
     select_min_load,
     select_min_rtt,
     wrr_schedule,
 )
-from reference import select_epsilon_greedy, select_round_robin, select_wrr
+from reference import SelectorState, select_epsilon_greedy, select_round_robin, select_wrr
 
 
 def views(rtts=(20.0, 50.0, 80.0), loads=(0.0, 0.0, 0.0), high_cost=()):
@@ -105,17 +104,17 @@ class TestAttributeAware:
 
 class TestRoundRobin:
     def test_first_slot(self):
-        assert select_round_robin(StrategyState(rr_cursor=0), 3) == 1
+        assert select_round_robin(SelectorState(rr_cursor=0), 3) == 1
 
     def test_wrapped_cursor(self):
-        assert select_round_robin(StrategyState(rr_cursor=5), 3) == 3
+        assert select_round_robin(SelectorState(rr_cursor=5), 3) == 3
 
     def test_fixed_cycle(self):
-        state = StrategyState()
+        state = SelectorState()
         assert [select_round_robin(state, 3) for _ in range(6)] == [1, 2, 3, 1, 2, 3]
 
     def test_cursor_advances_by_one_per_call(self):
-        state = StrategyState()
+        state = SelectorState()
         for expected in range(5):
             assert state.rr_cursor == expected
             select_round_robin(state, 3)
@@ -149,34 +148,34 @@ class TestWrrSchedule:
 class TestSelectWrr:
     def test_first_slot_is_heaviest_path(self):
         sched = wrr_schedule((50.0, 100.0, 80.0))
-        assert select_wrr(StrategyState(rr_cursor=0), sched) == 2
+        assert select_wrr(SelectorState(rr_cursor=0), sched) == 2
 
     def test_counts_over_one_period(self):
         sched = wrr_schedule((50.0, 100.0, 80.0))
-        state = StrategyState()
+        state = SelectorState()
         picks = Counter(select_wrr(state, sched) for _ in range(23))
         assert picks == {1: 5, 2: 10, 3: 8}
 
     def test_counts_over_two_periods(self):
         sched = wrr_schedule((50.0, 100.0, 80.0))
-        state = StrategyState()
+        state = SelectorState()
         picks = Counter(select_wrr(state, sched) for _ in range(46))
         assert picks == {1: 10, 2: 20, 3: 16}
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError):
-            select_wrr(StrategyState(), ())
+            select_wrr(SelectorState(), ())
 
 
 class TestEpsilonGreedy:
     def test_epsilon_zero_is_min_rtt(self):
-        state = StrategyState(rng=random.Random("x"))
+        state = SelectorState(rng=random.Random("x"))
         vs = views((60.0, 50.0, 80.0))
         assert all(select_epsilon_greedy(state, vs, 0.0) == select_min_rtt(vs)
                    for _ in range(500))
 
     def test_epsilon_one_uniform_within_3_sigma(self):
-        state = StrategyState(rng=random.Random("freq"))
+        state = SelectorState(rng=random.Random("freq"))
         vs = views()
         n = 10_000
         counts = Counter(select_epsilon_greedy(state, vs, 1.0) for _ in range(n))
@@ -185,7 +184,7 @@ class TestEpsilonGreedy:
             assert abs(counts[path_id] / n - 1 / 3) <= 3 * sigma
 
     def test_exploit_share_at_epsilon_point_one(self):
-        state = StrategyState(rng=random.Random("lln"))
+        state = SelectorState(rng=random.Random("lln"))
         vs = views((20.0, 50.0, 80.0))
         n = 100_000
         hits = sum(select_epsilon_greedy(state, vs, 0.1) == 1 for _ in range(n))
@@ -193,10 +192,10 @@ class TestEpsilonGreedy:
 
     def test_same_seed_reproduces_sequence(self):
         vs = views()
-        seq1 = [select_epsilon_greedy(StrategyState(rng=random.Random("s:7")), vs, 0.3)
+        seq1 = [select_epsilon_greedy(SelectorState(rng=random.Random("s:7")), vs, 0.3)
                 for _ in range(1)]
-        a = StrategyState(rng=random.Random("s:7"))
-        b = StrategyState(rng=random.Random("s:7"))
+        a = SelectorState(rng=random.Random("s:7"))
+        b = SelectorState(rng=random.Random("s:7"))
         seq_a = [select_epsilon_greedy(a, vs, 0.3) for _ in range(200)]
         seq_b = [select_epsilon_greedy(b, vs, 0.3) for _ in range(200)]
         assert seq_a == seq_b
@@ -204,7 +203,7 @@ class TestEpsilonGreedy:
 
     def test_missing_rng_rejected(self):
         with pytest.raises(ValueError):
-            select_epsilon_greedy(StrategyState(), views(), 0.5)
+            select_epsilon_greedy(SelectorState(), views(), 0.5)
 
 
 class TestBlest:
@@ -266,7 +265,7 @@ class TestPathViewContract:
         select_min_load,
         lambda vs: select_attribute_aware(vs, {"high-cost"}),
         lambda vs: select_blest(vs, 1.5),
-        lambda vs: select_epsilon_greedy(StrategyState(rng=random.Random("v")), vs, 0.5),
+        lambda vs: select_epsilon_greedy(SelectorState(rng=random.Random("v")), vs, 0.5),
     ], ids=["min_rtt", "min_load", "attribute_aware", "blest", "epsilon_greedy"])
     def test_selectors_accept_positional_and_keyword_views(self, select):
         rows = [(1, 50.0, 31.0, 40.0, frozenset({"high-cost"})),
