@@ -219,8 +219,9 @@ def _views(paths: tuple[PathSpec, ...], prev: StepRecord | None) -> list[PathVie
 
 # the strategies whose agents all choose alike: name -> rule(config,
 # previous record, step index) giving the one path of the step. The
-# selectors are looked up as module globals on every call. Round robin's
-# cursors all start at 0 and advance once a step
+# selectors are looked up as module globals on every call, where
+# perfbench's counters wrap them. Round robin's cursors all start at 0
+# and advance once a step
 _SHARED_CHOICE = {
     "min_rtt": lambda config, prev, t: select_min_rtt(_views(config.topology.paths, prev)),
     "min_load": lambda config, prev, t: select_min_load(_views(config.topology.paths, prev)),
