@@ -1,9 +1,9 @@
 """Command-line entry point: single runs, sweeps, and report rendering.
 
-Defaults reproduce the shipped experiment setup (300 steps, epsilon 0.1,
-built-in three-path topology, the standard agent grid), so a bare
-`mpsim sweep` regenerates the full summary table. The seed defaults to
-a fixed value; no code path reads the clock or OS entropy.
+Defaults reproduce the shipped experiment setup (DEFAULT_STEPS steps,
+DEFAULT_EPSILON, built-in three-path topology, the standard agent grid),
+so a bare `mpsim sweep` regenerates the full summary table. The seed
+defaults to a fixed value; no code path reads the clock or OS entropy.
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
-from .engine import EngineParams, SimConfig, run, timeseries_csv
+from .engine import DEFAULT_STEPS, EngineParams, SimConfig, run, timeseries_csv
 from .experiment import (
     DEFAULT_AGENT_COUNTS,
     SweepSpec,
@@ -23,7 +24,7 @@ from .experiment import (
     sweep_epsilon,
 )
 from .metrics import score
-from .strategy import STRATEGY_NAMES, StrategyKind
+from .strategy import DEFAULT_EPSILON, STRATEGY_NAMES, StrategyKind
 from .topology import TopologyError, default_topology, parse_topology
 
 
@@ -71,15 +72,7 @@ def cmd_run(args) -> int:
         "steps": args.steps,
         "seed": args.seed,
         "topology": topology.name,
-        "scores": {
-            "oscillation": scores.oscillation,
-            "loss": scores.loss,
-            "fairness": scores.fairness,
-            "efficiency": scores.efficiency,
-            "goodput": scores.goodput,
-            "stability": scores.stability,
-            "loss_avoidance": scores.loss_avoidance,
-        },
+        "scores": asdict(scores),
     }
     if kind.name == "epsilon_greedy":
         doc["epsilon"] = args.epsilon
@@ -89,13 +82,29 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _refuse_unread_flags(args) -> None:
+    """Refuse a flag that the chosen sweep mode would leave unread; the
+    mode-specific options default to None, so a given one shows."""
+    if args.epsilon_grid is not None:
+        unread = ("strategies", "agents_list", "all_strategies", "epsilon", "format")
+        reason = "does not apply with --epsilon-grid"
+    else:
+        unread, reason = ("agents",), "applies only with --epsilon-grid; use --agents-list"
+        if args.strategies is not None and args.all_strategies:
+            raise ValueError("--all-strategies cannot be combined with --strategies")
+    for dest in unread:
+        if getattr(args, dest) is not None:
+            raise ValueError(f"--{dest.replace('_', '-')} {reason}")
+
+
 def cmd_sweep(args) -> int:
-    topology = _load_topology(args.topology)
+    _refuse_unread_flags(args)
     if args.epsilon_grid is not None:
         if not args.epsilon_grid:
             print("error: empty epsilon grid", file=sys.stderr)
             return 2
-        points = sweep_epsilon(args.epsilon_grid, args.agents, topology,
+        agents = 500 if args.agents is None else args.agents
+        points = sweep_epsilon(args.epsilon_grid, agents, _load_topology(args.topology),
                                steps=args.steps, seed=args.seed)
         _write_output(emit_epsilon(points, raw=args.raw), args.out)
         return 0
@@ -105,11 +114,12 @@ def cmd_sweep(args) -> int:
     if not names or not counts:
         print("error: empty sweep grid", file=sys.stderr)
         return 2
-    strategies = tuple(StrategyKind(name, epsilon=args.epsilon) for name in names)
-    spec = SweepSpec(topology=topology, strategies=strategies,
+    epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
+    strategies = tuple(StrategyKind(name, epsilon=epsilon) for name in names)
+    spec = SweepSpec(topology=_load_topology(args.topology), strategies=strategies,
                      agent_counts=tuple(counts), steps=args.steps, seed=args.seed)
     rows = sweep_agents(spec)
-    _write_output(emit_summary(rows, fmt=args.format, raw=args.raw), args.out)
+    _write_output(emit_summary(rows, fmt=args.format or "csv", raw=args.raw), args.out)
     return 0
 
 
@@ -137,9 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="simulate one configuration and score it")
     run_p.add_argument("--strategy", required=True, choices=STRATEGY_NAMES)
     run_p.add_argument("--agents", type=int, default=100)
-    run_p.add_argument("--steps", type=int, default=300)
+    run_p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--epsilon", type=float, default=0.1,
+    run_p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                        help="exploration probability for epsilon_greedy")
     run_p.add_argument("--topology", help="topology JSON file (default: built-in)")
     run_p.add_argument("--out", help="output file for the score summary (default: stdout)")
@@ -147,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="run an experiment grid")
-    sweep_p.add_argument("--all-strategies", action="store_true",
+    sweep_p.add_argument("--all-strategies", action="store_true", default=None,
                          help="sweep every strategy (the default)")
     sweep_p.add_argument("--strategies", type=lambda s: tuple(s.split(",")),
                          help="comma-separated strategy names")
@@ -156,13 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
                               f"(default {','.join(map(str, DEFAULT_AGENT_COUNTS))})")
     sweep_p.add_argument("--epsilon-grid", type=_float_list,
                          help="comma-separated epsilons: run the sensitivity sweep instead")
-    sweep_p.add_argument("--agents", type=int, default=500,
-                         help="agent count for --epsilon-grid mode")
-    sweep_p.add_argument("--steps", type=int, default=300)
+    sweep_p.add_argument("--agents", type=int, help="agent count for --epsilon-grid (default 500)")
+    sweep_p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     sweep_p.add_argument("--seed", type=int, default=0)
-    sweep_p.add_argument("--epsilon", type=float, default=0.1)
+    sweep_p.add_argument("--epsilon", type=float, help=f"for epsilon_greedy (default {DEFAULT_EPSILON})")
     sweep_p.add_argument("--topology")
-    sweep_p.add_argument("--format", choices=("csv", "markdown"), default="csv")
+    sweep_p.add_argument("--format", choices=("csv", "markdown"), help="default csv")
     sweep_p.add_argument("--raw", action="store_true",
                          help="full-precision CSV instead of 2 decimal places")
     sweep_p.add_argument("--out")

@@ -56,6 +56,8 @@ from .strategy import (
 )
 from .topology import HIGH_COST_TAG, PathSpec, Topology
 
+DEFAULT_STEPS = 300
+
 # below this count a plain loop of additions beats the binade walk of
 # _repeated_add. Summing four non-dyadic windows from 0.0 (best of 5 x 200
 # calls, 2-vCPU x86_64 host, CPython 3.11.7), the loop against the walk
@@ -96,7 +98,7 @@ class AimdParams:
 
 @dataclass(frozen=True)
 class EngineParams:
-    steps: int = 300
+    steps: int = DEFAULT_STEPS
     step_ms: float = 10.0
     queue_scale_ms: float = 10.0
 

@@ -16,18 +16,15 @@ import hashlib
 import io
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
-from .engine import EngineParams, SimConfig, run
+from .engine import DEFAULT_STEPS, EngineParams, SimConfig, run
 from .metrics import score
 from .strategy import STRATEGY_NAMES, StrategyKind
 from .topology import Topology
 
 DEFAULT_AGENT_COUNTS = (10, 25, 50, 100, 150, 250, 500)
-
-SUMMARY_HEADER = ("strategy", "agents", "oscillation", "loss", "fairness",
-                  "efficiency", "stability", "loss_avoidance")
-EPSILON_HEADER = ("epsilon", "efficiency", "loss")
 
 
 @dataclass(frozen=True)
@@ -35,7 +32,7 @@ class SweepSpec:
     topology: Topology
     strategies: tuple[StrategyKind, ...]
     agent_counts: tuple[int, ...] = DEFAULT_AGENT_COUNTS
-    steps: int = 300
+    steps: int = DEFAULT_STEPS
     seed: int = 0
 
     def __post_init__(self):
@@ -64,6 +61,14 @@ class EpsilonPoint:
     loss: float
 
 
+# each table's columns are its row type's fields; score columns share AxiomScores' names
+SUMMARY_HEADER = tuple(field.name for field in fields(SummaryRow))
+EPSILON_HEADER = tuple(field.name for field in fields(EpsilonPoint))
+_summary_cells = attrgetter(*SUMMARY_HEADER)
+_summary_scores = attrgetter(*SUMMARY_HEADER[2:])
+_epsilon_scores = attrgetter(*EPSILON_HEADER[1:])
+
+
 def all_strategies() -> tuple[StrategyKind, ...]:
     """The full strategy set in canonical report order."""
     return tuple(StrategyKind(name) for name in STRATEGY_NAMES)
@@ -84,17 +89,7 @@ def _run_cell(args) -> SummaryRow:
         engine=EngineParams(steps=steps),
         seed=cell_seed(seed, label, agents),
     )
-    scores = score(run(config))
-    return SummaryRow(
-        strategy=kind.name,
-        agents=agents,
-        oscillation=scores.oscillation,
-        loss=scores.loss,
-        fairness=scores.fairness,
-        efficiency=scores.efficiency,
-        stability=scores.stability,
-        loss_avoidance=scores.loss_avoidance,
-    )
+    return SummaryRow(kind.name, agents, *_summary_scores(score(run(config))))
 
 
 def _worker_count() -> int:
@@ -135,7 +130,7 @@ def sweep_agents(spec: SweepSpec) -> list[SummaryRow]:
 
 
 def sweep_epsilon(epsilons, agents: int, topology: Topology,
-                  steps: int = 300, seed: int = 0) -> list[EpsilonPoint]:
+                  steps: int = DEFAULT_STEPS, seed: int = 0) -> list[EpsilonPoint]:
     """Efficiency/loss of epsilon-greedy across an exploration grid."""
     epsilons = tuple(epsilons)
     rows = _run_cells([
@@ -143,8 +138,7 @@ def sweep_epsilon(epsilons, agents: int, topology: Topology,
          agents, steps, seed)
         for eps in epsilons
     ])
-    return [EpsilonPoint(epsilon=eps, efficiency=row.efficiency, loss=row.loss)
-            for eps, row in zip(epsilons, rows)]
+    return [EpsilonPoint(eps, *_epsilon_scores(row)) for eps, row in zip(epsilons, rows)]
 
 
 def _format_value(value, raw: bool) -> str:
@@ -157,11 +151,7 @@ def emit_summary(rows: list[SummaryRow], fmt: str = "csv", raw: bool = False) ->
     """Render sweep rows as CSV (2 d.p., or full precision with raw) or markdown."""
     if not rows:
         raise ValueError("no rows to emit")
-    cells = [
-        [row.strategy, row.agents, row.oscillation, row.loss, row.fairness,
-         row.efficiency, row.stability, row.loss_avoidance]
-        for row in rows
-    ]
+    cells = [_summary_cells(row) for row in rows]
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -187,11 +177,8 @@ def emit_epsilon(points: list[EpsilonPoint], raw: bool = False) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(EPSILON_HEADER)
     for point in points:
-        writer.writerow([
-            repr(point.epsilon) if raw else f"{point.epsilon:g}",
-            _format_value(point.efficiency, raw),
-            _format_value(point.loss, raw),
-        ])
+        writer.writerow([repr(point.epsilon) if raw else f"{point.epsilon:g}",
+                         *(_format_value(v, raw) for v in _epsilon_scores(point))])
     return buffer.getvalue()
 
 

@@ -43,6 +43,14 @@ class TestRun:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_scores_keys_in_pinned_order(self, tmp_path):
+        out = tmp_path / "scores.json"
+        assert run_cli(["run", "--strategy", "blest", "--agents", "5", "--steps", "5",
+                        "--out", str(out)]) == 0
+        assert list(json.loads(out.read_text())["scores"]) == [
+            "oscillation", "loss", "fairness", "efficiency", "goodput", "stability",
+            "loss_avoidance"]
+
     def test_timeseries_export(self, tmp_path):
         out = tmp_path / "scores.json"
         ts = tmp_path / "series.csv"
@@ -110,6 +118,25 @@ class TestSweep:
         assert capsys.readouterr().err == (
             "error: unknown strategy 'minrtt'; valid names: min_rtt, min_load, "
             "attribute_aware, round_robin, weighted_round_robin, epsilon_greedy, blest\n")
+
+    @pytest.mark.parametrize("args, flag", [
+        (["--epsilon-grid", "0.1", "--strategies", "bogus", "--agents-list", "7",
+          "--format", "markdown"], "--strategies"),
+        (["--epsilon-grid", "0.1", "--strategies", "min_rtt"], "--strategies"),
+        (["--epsilon-grid", "0.1", "--agents-list", "7"], "--agents-list"),
+        (["--epsilon-grid", "0.1", "--all-strategies"], "--all-strategies"),
+        (["--epsilon-grid", "0.1", "--epsilon", "0"], "--epsilon"),
+        (["--epsilon-grid", "0.1", "--format", "csv"], "--format"),
+        (["--strategies", "min_rtt", "--agents", "999"], "--agents"),
+        (["--all-strategies", "--agents", "0"], "--agents"),
+        (["--all-strategies", "--strategies", "min_rtt"], "--all-strategies"),
+    ])
+    def test_flag_the_mode_ignores_exits_2(self, capsys, args, flag):
+        code = run_cli(["sweep", "--steps", "2", *args])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} ")
 
     def test_markdown_format(self, capsys):
         code = run_cli(["sweep", "--strategies", "blest", "--agents-list", "10",
