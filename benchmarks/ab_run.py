@@ -15,11 +15,16 @@ side's median sample, and whether both sides' outputs are equal. It
 also records nproc, the CPU, the Python version and both commits.
 
 Cells use the default topology, 300 steps, seed 0 and default AIMD:
-- `run()` of weighted round robin at N = 10, 25, 50, 100 and 500,
+- `run()` of weighted round robin at N = 10, 25, 50, 100, 150 and 500,
   epsilon-greedy at epsilon 0, 0.1 and 0.5 with N = 10 and 500 and at
-  epsilon 0.1 with N = 25 and 50, and min_rtt and round robin at N = 10
-  and 500; every strategy at N = 5000, and the five that run() steps
-  as one state at N = 100,000;
+  epsilon 0.1 with N = 25 and 50, min_rtt and round robin at N = 10
+  and 500, min_rtt at N = 25 and min_load at N = 50; every strategy at
+  N = 5000, and the five that run() steps as one state at N = 100,000.
+  Runs without an rng replay their state's cycle once it recurs: the
+  cells at N = 10 never recur, min_rtt at N = 25 recurs too late to be
+  caught within 300 steps, and min_load at N = 50 and weighted round
+  robin at N = 150 recur late or after a long cycle, so the check pays
+  little or nothing there;
 - `score()` of a telemetry built outside the timed call, for min_rtt
   (one distinct window) and epsilon-greedy (many) at N = 10 and 500;
 - `emit_summary()` of the raw CSV of the 49 rows of the sweep below,
@@ -44,10 +49,11 @@ import time
 
 SHARED = ("min_rtt", "min_load", "attribute_aware", "blest", "round_robin")
 STRATEGIES = SHARED + ("weighted_round_robin", "epsilon_greedy")
-RUN_CELLS = ([("weighted_round_robin", 0.1, n) for n in (10, 25, 50, 100, 500)]
+RUN_CELLS = ([("weighted_round_robin", 0.1, n) for n in (10, 25, 50, 100, 150, 500)]
              + [("epsilon_greedy", eps, n) for eps in (0.0, 0.1, 0.5) for n in (10, 500)]
              + [("epsilon_greedy", 0.1, n) for n in (25, 50)]
              + [(name, 0.1, n) for name in ("min_rtt", "round_robin") for n in (10, 500)]
+             + [("min_rtt", 0.1, 25), ("min_load", 0.1, 50)]
              + [(name, 0.1, 5000) for name in STRATEGIES]
              + [(name, 0.1, 100_000) for name in SHARED])
 SCORE_CELLS = [(name, n) for n in (10, 500) for name in ("min_rtt", "epsilon_greedy")]

@@ -35,6 +35,23 @@ round by round, so a path's load is the sequential float sum over that
 periodic sequence, bit for bit the per-agent sum; `_repeated_add`
 computes a run of equal windows in O(log count) instead of O(count).
 
+Recurrence: a greedy herd settles into a fixed point or a short cycle,
+and run() then stops recomputing it. Step t reads only the states'
+windows, the previous record's loads (its RTTs are a function of
+them), the step index through the cursors' t mod phase (the schedule
+length L for weighted round robin, the path count P otherwise) and
+`chosen_path`, which it writes before it reads it. So once that state
+after step t equals the state after an earlier step m, with t - m a
+multiple of the phase, the records from step t + 1 on repeat those
+from step m + 1 with period t - m, bit for bit. run() compares each
+step's state with a mark that it moves at doubling distances (Brent,
+"An improved Monte Carlo factorization algorithm", BIT 20, 1980),
+testing the loads first: one tuple compare per step on a run that
+never recurs. On a match it copies the remaining whole cycles of
+records, which end in the same state, and steps the leftover steps.
+Epsilon-greedy at epsilon > 0 is excluded: each state's rng is part
+of its state, and its stream never repeats within a run.
+
 Runs are pure functions of their SimConfig: all randomness flows from
 the config seed through per-agent streams.
 """
@@ -370,12 +387,16 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
         else:
             agent.cwnd += growth[i]
 
-    return StepRecord(step=t, loads=tuple(loads), overflows=tuple(overflows),
-                      inst_rtts=tuple(inst_rtts))
+    return StepRecord(t, tuple(loads), tuple(overflows), tuple(inst_rtts))
 
 
 def run(config: SimConfig) -> Telemetry:
-    """Execute a full simulation; same config and seed give identical telemetry."""
+    """Execute a full simulation; same config and seed give identical telemetry.
+
+    Every record comes from step(), reached through the module global,
+    except in a run without an rng whose state recurs (see the module
+    docstring): there the records of the remaining whole cycles are
+    copies, sharing the cycle's tuples under their own step index."""
     strategy, agent_count = config.strategy, config.num_agents
     initial_cwnd = float(config.aimd.initial_cwnd)
     schedule = None
@@ -395,11 +416,36 @@ def run(config: SimConfig) -> Telemetry:
         agents = [AgentState(agent_id=k, cwnd=initial_cwnd, count=rounds + (k < rest))
                   for k in range(classes)]
 
+    # Brent's mark: the state after step `mark`, moved to the current step
+    # whenever the distance reaches `reach`, which then doubles. A cycle's
+    # length must be a multiple of the phase of the rules that read t
+    phase = len(schedule) if schedule else len(config.topology.paths)
+    watching = agents[0].rng is None
+    mark, mark_loads, mark_cwnds, reach = -1, None, None, 1
+    steps = config.engine.steps
     records: list[StepRecord] = []
     prev: StepRecord | None = None
-    for t in range(config.engine.steps):
+    t = 0
+    while t < steps:
         prev = step(agents, prev, config, schedule)
         records.append(prev)
+        if watching:
+            if (prev.loads == mark_loads and (t - mark) % phase == 0
+                    and [agent.cwnd for agent in agents] == mark_cwnds):
+                # records mark + 1 .. t come round again: copy their whole
+                # cycles, which end in this step's state, and step the rest
+                cycle = t - mark
+                end = t + 1 + (steps - 1 - t) // cycle * cycle
+                for k in range(t + 1, end):
+                    r = records[k - cycle]
+                    records.append(StepRecord(k, r.loads, r.overflows, r.inst_rtts))
+                prev = records[-1]
+                t = end - 1
+                watching = False
+            elif t - mark == reach:
+                mark, mark_loads, reach = t, prev.loads, 2 * reach
+                mark_cwnds = [agent.cwnd for agent in agents]
+        t += 1
     # agent i is state i mod S: repeat the S windows in agent order
     cwnds = [agent.cwnd for agent in agents]
     final_cwnds = (cwnds * (agent_count // len(cwnds) + 1))[:agent_count]

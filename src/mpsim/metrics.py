@@ -4,7 +4,8 @@ All quantities are time averages over the run: efficiency is the mean
 aggregate sent load, loss the mean aggregate overflow, oscillation the
 mean cross-path dispersion of load within a step. Stability and loss
 avoidance are the bounded inverses 1/(1+x) of oscillation and loss.
-Fairness is Jain's index over the final congestion windows.
+Fairness is Jain's index over the final congestion windows. score()
+refuses a score that is not finite with a ValueError that names it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,11 @@ def _step_means(telemetry: Telemetry) -> tuple[float, float, float]:
         mean = total / paths
         sent.append(total)
         overflow.append(sum(record.overflows))
-        spread.append(math.sqrt(sum([(v - mean) ** 2 for v in loads]) / paths))
+        try:
+            spread.append(math.sqrt(sum([(v - mean) ** 2 for v in loads]) / paths))
+        except OverflowError:
+            raise ValueError(f"oscillation is not finite: the load spread of step "
+                             f"{record.step} overflows") from None
     steps = len(records)
     return sum(sent) / steps, sum(overflow) / steps, sum(spread) / steps
 
@@ -94,12 +99,18 @@ def jain_fairness(final_cwnds: Sequence[float]) -> float:
 
 
 def score(telemetry: Telemetry) -> AxiomScores:
-    """Bundle all axiom scores for one run."""
+    """Bundle all axiom scores for one run; refuse a non-finite one."""
     eff, lam, osc = _step_means(telemetry)
+    fairness = jain_fairness(telemetry.final_cwnds)
+    # goodput, stability and loss avoidance are finite when these are
+    for name, value in (("oscillation", osc), ("loss", lam), ("fairness", fairness),
+                        ("efficiency", eff)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is not finite: {value}")
     return AxiomScores(
         oscillation=osc,
         loss=lam,
-        fairness=jain_fairness(telemetry.final_cwnds),
+        fairness=fairness,
         efficiency=eff,
         goodput=eff - lam,
         stability=stability(osc),

@@ -81,6 +81,26 @@ class TestRun:
         assert code == 2
         assert "capacity must be positive" in capsys.readouterr().err
 
+    # a base RTT of 1e-300 is a valid topology number, but windows that
+    # grow by step_ms / 1e-300 per step overflow the scores; the run must
+    # fail at the edge instead of printing a traceback or a NaN
+    @pytest.mark.parametrize("strategy, base_rtts, quantity", [
+        ("round_robin", (1e-300, 1), "oscillation"),
+        ("min_rtt", (1e-300,), "fairness"),
+    ])
+    def test_non_finite_score_exits_2(self, tmp_path, capsys, strategy, base_rtts,
+                                      quantity):
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({"name": "tiny-rtt", "paths": [
+            {"id": i + 1, "capacity_mbps": 50, "base_rtt_ms": rtt}
+            for i, rtt in enumerate(base_rtts)]}))
+        code = run_cli(["run", "--strategy", strategy, "--agents", "3", "--steps", "5",
+                        "--topology", str(topo)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {quantity} is not finite")
+
 
 class TestSweep:
     def test_single_cell(self, capsys):

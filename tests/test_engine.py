@@ -318,21 +318,45 @@ class TestRepeatedAdd:
         assert _repeated_add(total, x, count) == plain_repeated_add(total, x, count)
 
 
+def computed_steps(monkeypatch, cfg):
+    """run(cfg) and the step indices it computed with the module's step()."""
+    real_step = mpsim.engine.step
+    calls = []
+
+    def counting_step(*args, **kwargs):
+        record = real_step(*args, **kwargs)
+        calls.append(record.step)
+        return record
+
+    monkeypatch.setattr(mpsim.engine, "step", counting_step)
+    telemetry = run(cfg)
+    monkeypatch.undo()
+    return telemetry, calls
+
+
 class TestStepContract:
-    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
-    def test_run_calls_module_step_once_per_step(self, monkeypatch, strategy):
-        # run() must reach step() through the module global, once per
-        # step: perfbench's capture probe wraps it there and divides by
-        # its call count
-        cfg = config(strategy, agents=12, steps=9)
+    # run() must reach step() through the module global for every step it
+    # computes: perfbench's capture probe wraps it there. Runs with an rng
+    # (epsilon > 0) and runs whose state never recurs compute every step;
+    # a recurring run copies whole cycles and computes fewer
+    @pytest.mark.parametrize("strategy, agents, epsilon, recurs", [
+        *[(name, 12, 0.1, False) for name in STRATEGY_NAMES],
+        ("epsilon_greedy", 500, 0.1, False),
+        ("min_rtt", 500, 0.1, True),
+        ("weighted_round_robin", 500, 0.1, True),
+    ])
+    def test_run_calls_module_step_for_every_computed_step(self, monkeypatch, strategy,
+                                                           agents, epsilon, recurs):
+        cfg = config(strategy, agents=agents, steps=9 if agents == 12 else 300,
+                     epsilon=epsilon)
         floor = cfg.aimd.cwnd_floor
         path_count = cfg.topology.path_count
         real_step = mpsim.engine.step
-        calls = []
+        computed = {}
 
         def counting_step(agents, *args, **kwargs):
             record = real_step(agents, *args, **kwargs)
-            calls.append(record.step)
+            computed[record.step] = record
             for agent in agents:
                 assert type(agent.cwnd) is float and agent.cwnd >= floor
                 assert 1 <= agent.chosen_path <= path_count
@@ -340,8 +364,14 @@ class TestStepContract:
 
         monkeypatch.setattr(mpsim.engine, "step", counting_step)
         telemetry = run(cfg)
-        assert calls == list(range(cfg.engine.steps))
-        assert [r.step for r in telemetry.records] == calls
+        steps = cfg.engine.steps
+        assert [r.step for r in telemetry.records] == list(range(steps))
+        assert all(telemetry.records[k] is record for k, record in computed.items())
+        calls = list(computed)
+        if recurs:
+            assert calls[0] == 0 and calls == sorted(calls) and len(calls) < steps
+        else:
+            assert calls == list(range(steps))
 
     def test_shared_choice_table_and_per_agent_layouts_cover_every_name(self):
         # step() reaches weighted round robin's branch by elimination
@@ -439,6 +469,90 @@ class TestCohortsAgainstOracle:
                 assert rtt >= path.base_rtt_ms
         assert len(telemetry.final_cwnds) == agents
         assert set(telemetry.final_cwnds) == {cfg.aimd.cwnd_floor}
+
+
+RNG_FREE = [StrategyKind(name) for name in STRATEGY_NAMES if name != "epsilon_greedy"] + [
+    StrategyKind("epsilon_greedy", epsilon=0.0)]
+# windows on dyadic values recur; off them (the third) they rarely do
+RECURRING_AIMD = [AimdParams(), AimdParams(initial_cwnd=2.0, alpha=0.5, beta=0.25, cwnd_floor=2.0),
+                  AimdParams(initial_cwnd=1.37, alpha=0.73, beta=0.61, cwnd_floor=0.29,
+                             mbps_per_cwnd=0.9)]
+
+
+class TestRecurrenceReplay:
+    # records recur with periods 1 (min_rtt's herd), 2 (min_load's flip),
+    # 3 (round robin's rotation) and 23 (WRR's schedule); the step counts
+    # leave a partial cycle after the copied ones
+    CELLS = [("min_rtt", 500), ("min_load", 500), ("round_robin", 500),
+             ("weighted_round_robin", 150), ("weighted_round_robin", 500)]
+
+    @pytest.mark.parametrize("steps, aimd", [(77, RECURRING_AIMD[0]), (301, RECURRING_AIMD[0]),
+                                             (300, RECURRING_AIMD[1])],
+                             ids=["77-default", "301-default", "300-dyadic"])
+    @pytest.mark.parametrize("strategy, agents", CELLS)
+    def test_replayed_run_matches_oracle(self, monkeypatch, strategy, agents, steps, aimd):
+        cfg = SimConfig(topology=default_topology(), strategy=StrategyKind(strategy),
+                        num_agents=agents, aimd=aimd, engine=EngineParams(steps=steps))
+        telemetry, calls = computed_steps(monkeypatch, cfg)
+        assert len(calls) < steps
+        assert [r.step for r in telemetry.records] == list(range(steps))
+        assert oracle_agrees(telemetry)
+
+    @pytest.mark.parametrize("steps", [77, 300, 301])
+    def test_wrr_cycle_needs_the_schedule_phase(self, monkeypatch, steps):
+        # one agent that overflows every path stays on the floor, so its
+        # state is its window and the load of its slot: equal on two slots
+        # of one path, whose successors differ, unless the cycle is a
+        # multiple of the 23-slot schedule
+        cfg = SimConfig(topology=default_topology(),
+                        strategy=StrategyKind("weighted_round_robin"), num_agents=1,
+                        aimd=AimdParams(mbps_per_cwnd=1000.0),
+                        engine=EngineParams(steps=steps))
+        telemetry, calls = computed_steps(monkeypatch, cfg)
+        assert len(calls) < steps
+        assert [r.step for r in telemetry.records] == list(range(steps))
+        assert oracle_agrees(telemetry)
+
+    @settings(max_examples=40, deadline=None)
+    @given(strategy=st.sampled_from(RNG_FREE),
+           agents=st.integers(1, 600),
+           steps=st.integers(1, 120),
+           aimd=st.sampled_from(RECURRING_AIMD),
+           path_count=st.integers(1, 4))
+    def test_rng_free_runs_match_oracle(self, strategy, agents, steps, aimd, path_count):
+        topology = default_topology() if path_count == 3 else paths_topology(path_count)
+        cfg = SimConfig(topology=topology, strategy=strategy, num_agents=agents, aimd=aimd,
+                        engine=EngineParams(steps=steps))
+        telemetry = run(cfg)
+        assert [r.step for r in telemetry.records] == list(range(steps))
+        assert oracle_agrees(telemetry)
+
+
+class TestRecordInvariants:
+    # on every record, computed or copied from a recurring cycle
+    @settings(max_examples=40, deadline=None)
+    @given(strategy=st.sampled_from(STRATEGY_NAMES),
+           agents=st.integers(1, 600),
+           steps=st.integers(1, 300),
+           epsilon=st.sampled_from([0.0, 0.1, 0.5]),
+           aimd=st.sampled_from(RECURRING_AIMD),
+           seed=st.integers(0, 2**32))
+    def test_every_record_holds_the_engine_invariants(self, strategy, agents, steps, epsilon,
+                                                      aimd, seed):
+        cfg = SimConfig(topology=default_topology(),
+                        strategy=StrategyKind(strategy, epsilon=epsilon), num_agents=agents,
+                        aimd=aimd, engine=EngineParams(steps=steps), seed=seed)
+        telemetry = run(cfg)
+        paths = cfg.topology.paths
+        assert len(telemetry.records) == steps
+        for index, record in enumerate(telemetry.records):
+            assert record.step == index
+            for path, load, overflow, rtt in zip(paths, record.loads, record.overflows,
+                                                 record.inst_rtts):
+                assert overflow == max(0.0, load - path.capacity_mbps)
+                assert rtt >= path.base_rtt_ms
+        assert len(telemetry.final_cwnds) == agents
+        assert all(cwnd >= aimd.cwnd_floor for cwnd in telemetry.final_cwnds)
 
 
 class TestCohortStates:

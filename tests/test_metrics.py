@@ -178,6 +178,16 @@ class TestScore:
                           num_agents=500, engine=EngineParams(steps=60), seed=0))
         assert score(t).fairness == 1.0
 
+    # (v - mean) ** 2 overflowing raises OverflowError, and squares of
+    # 1e200 overflow Jain's sums to inf / inf = nan; both must be a
+    # ValueError that names the quantity
+    @pytest.mark.parametrize("loads, cwnds, quantity", [
+        ((1e200, 0.0, 0.0), (1.0, 1.0), "oscillation"),
+        ((1.0, 0.0, 0.0), (1e200, 1e200), "fairness"),
+    ])
+    def test_non_finite_score_raises_naming_it(self, loads, cwnds, quantity):
+        with pytest.raises(ValueError, match=f"^{quantity} is not finite"):
+            score(synthetic([loads], cwnds=cwnds))
 
 def reference_means(telemetry):
     """Efficiency, loss and oscillation as separate passes, each summing
