@@ -339,16 +339,15 @@ class TestStepContract:
     # computes: perfbench's capture probe wraps it there. Runs with an rng
     # (epsilon > 0) and runs whose state never recurs compute every step;
     # a recurring run copies whole cycles and computes fewer
-    @pytest.mark.parametrize("strategy, agents, epsilon, recurs", [
-        *[(name, 12, 0.1, False) for name in STRATEGY_NAMES],
-        ("epsilon_greedy", 500, 0.1, False),
-        ("min_rtt", 500, 0.1, True),
-        ("weighted_round_robin", 500, 0.1, True),
+    @pytest.mark.parametrize("strategy, agents, steps, recurs", [
+        *[(name, 12, 9, False) for name in STRATEGY_NAMES],
+        ("epsilon_greedy", 500, 300, False),
+        ("min_rtt", 500, 300, True),
+        ("weighted_round_robin", 500, 300, True),
     ])
     def test_run_calls_module_step_for_every_computed_step(self, monkeypatch, strategy,
-                                                           agents, epsilon, recurs):
-        cfg = config(strategy, agents=agents, steps=9 if agents == 12 else 300,
-                     epsilon=epsilon)
+                                                           agents, steps, recurs):
+        cfg = config(strategy, agents=agents, steps=steps)
         floor = cfg.aimd.cwnd_floor
         path_count = cfg.topology.path_count
         real_step = mpsim.engine.step
@@ -364,7 +363,6 @@ class TestStepContract:
 
         monkeypatch.setattr(mpsim.engine, "step", counting_step)
         telemetry = run(cfg)
-        steps = cfg.engine.steps
         assert [r.step for r in telemetry.records] == list(range(steps))
         assert all(telemetry.records[k] is record for k, record in computed.items())
         calls = list(computed)
@@ -482,32 +480,22 @@ RECURRING_AIMD = [AimdParams(), AimdParams(initial_cwnd=2.0, alpha=0.5, beta=0.2
 class TestRecurrenceReplay:
     # records recur with periods 1 (min_rtt's herd), 2 (min_load's flip),
     # 3 (round robin's rotation) and 23 (WRR's schedule); the step counts
-    # leave a partial cycle after the copied ones
+    # leave a partial cycle after the copied ones. The last cell is one
+    # WRR agent that overflows every path and stays on the floor: its state
+    # is its window and its slot's load, equal on two slots of one path
+    # whose successors differ, so its cycle must be a multiple of the
+    # 23-slot schedule
     CELLS = [("min_rtt", 500), ("min_load", 500), ("round_robin", 500),
              ("weighted_round_robin", 150), ("weighted_round_robin", 500)]
+    CASES = ([(strategy, agents, AIMD, steps) for strategy, agents in CELLS for steps in (77, 301)]
+             + [(strategy, agents, RECURRING_AIMD[1], 150) for strategy, agents in CELLS]
+             + [("weighted_round_robin", 1, AimdParams(mbps_per_cwnd=1000.0), steps)
+                for steps in (77, 300, 301)])
 
-    @pytest.mark.parametrize("steps, aimd", [(77, RECURRING_AIMD[0]), (301, RECURRING_AIMD[0]),
-                                             (300, RECURRING_AIMD[1])],
-                             ids=["77-default", "301-default", "300-dyadic"])
-    @pytest.mark.parametrize("strategy, agents", CELLS)
-    def test_replayed_run_matches_oracle(self, monkeypatch, strategy, agents, steps, aimd):
+    @pytest.mark.parametrize("strategy, agents, aimd, steps", CASES)
+    def test_replayed_run_matches_oracle(self, monkeypatch, strategy, agents, aimd, steps):
         cfg = SimConfig(topology=default_topology(), strategy=StrategyKind(strategy),
                         num_agents=agents, aimd=aimd, engine=EngineParams(steps=steps))
-        telemetry, calls = computed_steps(monkeypatch, cfg)
-        assert len(calls) < steps
-        assert [r.step for r in telemetry.records] == list(range(steps))
-        assert oracle_agrees(telemetry)
-
-    @pytest.mark.parametrize("steps", [77, 300, 301])
-    def test_wrr_cycle_needs_the_schedule_phase(self, monkeypatch, steps):
-        # one agent that overflows every path stays on the floor, so its
-        # state is its window and the load of its slot: equal on two slots
-        # of one path, whose successors differ, unless the cycle is a
-        # multiple of the 23-slot schedule
-        cfg = SimConfig(topology=default_topology(),
-                        strategy=StrategyKind("weighted_round_robin"), num_agents=1,
-                        aimd=AimdParams(mbps_per_cwnd=1000.0),
-                        engine=EngineParams(steps=steps))
         telemetry, calls = computed_steps(monkeypatch, cfg)
         assert len(calls) < steps
         assert [r.step for r in telemetry.records] == list(range(steps))
