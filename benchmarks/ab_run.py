@@ -20,11 +20,11 @@ Cells use the default topology, 300 steps, seed 0 and default AIMD:
   epsilon 0.1 with N = 25 and 50, min_rtt and round robin at N = 10
   and 500, min_rtt at N = 25 and min_load at N = 50; every strategy at
   N = 5000, and the five that run() steps as one state at N = 100,000.
-  Runs without an rng replay their state's cycle once it recurs: the
-  cells at N = 10 never recur, min_rtt at N = 25 recurs too late to be
-  caught within 300 steps, and min_load at N = 50 and weighted round
-  robin at N = 150 recur late or after a long cycle, so the check pays
-  little or nothing there;
+  A run without an rng stops stepping once its state recurs (see
+  mpsim.engine): the N = 10 cells never recur and pay only the check,
+  min_rtt at N = 25 recurs with a 154-step cycle that the check cannot
+  catch within 300 steps, and min_load at N = 50 and weighted round
+  robin at N = 150 are the smallest grid counts at which they recur;
 - `score()` of a telemetry built outside the timed call, for min_rtt
   (one distinct window) and epsilon-greedy (many) at N = 10 and 500;
 - `emit_summary()` of the raw CSV of the 49 rows of the sweep below,

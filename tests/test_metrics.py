@@ -189,6 +189,7 @@ class TestScore:
         with pytest.raises(ValueError, match=f"^{quantity} is not finite"):
             score(synthetic([loads], cwnds=cwnds))
 
+
 def reference_means(telemetry):
     """Efficiency, loss and oscillation as separate passes, each summing
     its per-step values in step order: the formulas score() must equal."""
