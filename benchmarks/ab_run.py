@@ -1,6 +1,7 @@
 """Interleaved before/after timing of mpsim, both sides in one interpreter.
 
-    python3 benchmarks/ab_run.py BEFORE AFTER [--rounds 20] [--min-ms 20] > BENCH_<n>.json
+    python3 benchmarks/ab_run.py BEFORE AFTER [--rounds 20] [--min-ms 20]
+        [--only SUBSTRING] > BENCH_<n>.json
 
 Run from the root of a checkout. BEFORE and AFTER each name a git
 revision, whose src/ is extracted with `git archive` into a temporary
@@ -13,11 +14,14 @@ to fill --min-ms. Per cell the JSON gives the median and quartiles over
 rounds of the paired ratio after/before (below 1 is faster), each
 side's median sample, and whether both sides' outputs are equal. It
 also records nproc, the CPU, the Python version and both commits.
+--only times just the cells whose name contains SUBSTRING (say
+`epsilon_greedy[0.1]`), leaving out, among others, the N = 100,000 cells.
 
 Cells use the default topology, 300 steps, seed 0 and default AIMD:
 - `run()` of weighted round robin at N = 10, 25, 50, 100, 150 and 500,
   epsilon-greedy at epsilon 0, 0.1 and 0.5 with N = 10 and 500 and at
-  epsilon 0.1 with N = 25 and 50, min_rtt and round robin at N = 10
+  epsilon 0.1 with N = 25, 50, 100 and 250 and at epsilon 0.3 with
+  N = 500, min_rtt and round robin at N = 10
   and 500, min_rtt at N = 25 and min_load at N = 50; every strategy at
   N = 5000, and the five that run() steps as one state at N = 100,000.
   A run without an rng stops stepping once its state recurs (see
@@ -51,7 +55,8 @@ SHARED = ("min_rtt", "min_load", "attribute_aware", "blest", "round_robin")
 STRATEGIES = SHARED + ("weighted_round_robin", "epsilon_greedy")
 RUN_CELLS = ([("weighted_round_robin", 0.1, n) for n in (10, 25, 50, 100, 150, 500)]
              + [("epsilon_greedy", eps, n) for eps in (0.0, 0.1, 0.5) for n in (10, 500)]
-             + [("epsilon_greedy", 0.1, n) for n in (25, 50)]
+             + [("epsilon_greedy", 0.1, n) for n in (25, 50, 100, 250)]
+             + [("epsilon_greedy", 0.3, 500)]
              + [(name, 0.1, n) for name in ("min_rtt", "round_robin") for n in (10, 500)]
              + [("min_rtt", 0.1, 25), ("min_load", 0.1, 50)]
              + [(name, 0.1, 5000) for name in STRATEGIES]
@@ -179,9 +184,13 @@ def main(argv=None):
     parser.add_argument("--rounds", type=int, default=20)
     parser.add_argument("--min-ms", type=float, default=20.0,
                         help="fill each sample with this many ms of calls")
+    parser.add_argument("--only", metavar="SUBSTRING", default="",
+                        help="time only the cells whose name contains SUBSTRING")
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.min_ms <= 0:
         parser.error("--rounds and --min-ms must be positive")
+    if not any(args.only in name for name, _, _ in CELLS):
+        parser.error(f"no cell name contains {args.only!r}")
 
     with tempfile.TemporaryDirectory() as scratch:
         summary = _measure(args, scratch)
@@ -197,6 +206,8 @@ def _measure(args, scratch):
     os.environ.pop("MPSIM_THREADS", None)
     cells = []
     for name, build, output in CELLS:
+        if args.only not in name:
+            continue
         calls = [build(side) for side in sides]
         outputs = [output(call()) for call in calls]
         once = max(_sample(call, 1) for call in calls)
@@ -227,6 +238,7 @@ def _measure(args, scratch):
         "unit": "ms",
         "rounds": args.rounds,
         "min_ms": args.min_ms,
+        "only": args.only,
         "nproc": os.cpu_count(),
         "cpu": _cpu(),
         "python": platform.python_version(),

@@ -15,7 +15,13 @@ shared-choice strategy; a rule builds the path views only if its
 selector reads them. The loops over states only pick a path, add the
 window to that path's load in agent order (the same float sum as one
 addition per agent) and apply their path's outcome, with no function
-call per agent.
+call per agent. Epsilon-greedy's loop only draws and appends each agent
+to its path's list, in agent order; a path's load is the sum over its
+list, the same additions in the same order as one addition per agent
+into that path, and the update walks the lists. On a lost path it skips
+the windows already at the floor: beta * floor < floor, so the clamp
+would write the floor back, and at epsilon 0.1 and N >= 100 that is
+most exploiters on most steps.
 
 Cohorts: run() lays the N agents out as S states, state k standing for
 agents k, k + S, k + 2S, ... (its `count`), which share a window and a
@@ -28,7 +34,8 @@ round robin's cursors all start at 0, so every agent picks path
 robin staggers agent i's cursor to slot i mod L of its L-slot schedule
 and advances it once a step, so it picks slot (i + t) mod L and the
 agents of one cursor class i mod L stay identical: S = min(N, L).
-Epsilon-greedy at epsilon > 0 draws from one rng per agent: S = N. No
+Epsilon-greedy at epsilon > 0 draws from one rng per agent, so its
+agents choose apart: S = N, grouped afresh each step by path. No
 state holds a cursor; it follows from `agent_id` and the step index,
 which step() reads off the previous record. Agent order visits the states
 round by round, so a path's load is the sequential float sum over that
@@ -92,11 +99,18 @@ _UNITS_PER_BINADE = 2 ** 53
 # of the 300 steps, and 0.84-0.85x at N = 250 (10 rounds), 0.77x at N = 276
 # and 0.66x at N = 500, where none does
 _COLUMNS_FROM_ROUND = 10
+_new_view = tuple.__new__
 
 
 @dataclass(frozen=True)
 class AimdParams:
-    """Congestion controller constants; windows are real-valued packets."""
+    """Congestion controller constants; windows are real-valued packets.
+
+    `cwnd_floor` bounds only the multiplicative decrease: a loss sets the
+    window to max(floor, beta * cwnd). Any positive `initial_cwnd` is
+    accepted, also one below the floor; such a window grows until its
+    first loss, which leaves it at the floor or above.
+    """
 
     initial_cwnd: float = 1.0
     alpha: float = 1.0
@@ -229,10 +243,12 @@ def _repeated_add(total: float, x: float, count: int) -> float:
 
 
 def _views(paths: tuple[PathSpec, ...], prev: StepRecord | None) -> list[PathView]:
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
     if prev is None:
-        return [PathView(path.id, path.capacity_mbps, path.base_rtt_ms, 0.0, path.attributes)
+        return [_new_view(PathView, (path.id, path.capacity_mbps, path.base_rtt_ms, 0.0,
+                                     path.attributes))
                 for path in paths]
-    return [PathView(path.id, path.capacity_mbps, rtt, load, path.attributes)
+    return [_new_view(PathView, (path.id, path.capacity_mbps, rtt, load, path.attributes))
             for path, rtt, load in zip(paths, prev.inst_rtts, prev.loads)]
 
 
@@ -306,6 +322,7 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
     mbps_per_cwnd = aimd.mbps_per_cwnd
     paths = config.topology.paths
     loads = [0.0] * len(paths)
+    members = None
 
     rule = _shared_choice(strategy)
     if rule:
@@ -327,18 +344,24 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
         # CPython's Random._randbelow_with_getrandbits draws it (same
         # value, same rng state) without randrange's argument checks
         bits = path_count.bit_length()
+        # each path's senders in agent order (path ids run 1..P in
+        # topology order); the update walks them and sets chosen_path
+        members = [[] for _ in paths]
+        add_exploiter = members[exploit - 1].append
         for agent in agents:
             rng = agent.rng
             if rng.random() < epsilon:
                 explored = rng.getrandbits(bits)
                 while explored >= path_count:
                     explored = rng.getrandbits(bits)
-                # path ids run 1..P in topology order
-                path = explored + 1
+                members[explored].append(agent)
             else:
-                path = exploit
-            agent.chosen_path = path
-            loads[path - 1] += agent.cwnd * mbps_per_cwnd
+                add_exploiter(agent)
+        for i, senders in enumerate(members):
+            total = 0.0
+            for agent in senders:
+                total += agent.cwnd * mbps_per_cwnd
+            loads[i] = total
     else:
         # weighted round robin: state k's cursor starts at slot k and
         # advances once a step through the smooth schedule
@@ -379,13 +402,30 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
 
     # halve (clamped at the floor) on loss, else grow by alpha per RTT
     floor, beta = aimd.cwnd_floor, aimd.beta
-    for agent in agents:
-        i = agent.chosen_path - 1
-        if lost[i]:
-            cwnd = beta * agent.cwnd
-            agent.cwnd = cwnd if cwnd > floor else floor
-        else:
-            agent.cwnd += growth[i]
+    if members is None:
+        for agent in agents:
+            i = agent.chosen_path - 1
+            if lost[i]:
+                cwnd = beta * agent.cwnd
+                agent.cwnd = cwnd if cwnd > floor else floor
+            else:
+                agent.cwnd += growth[i]
+    else:
+        for path, senders in enumerate(members, 1):
+            if lost[path - 1]:
+                # beta * floor < floor, so a window at the floor stays
+                # there; one below it (an initial_cwnd under the floor) is
+                # lifted to it
+                for agent in senders:
+                    agent.chosen_path = path
+                    if agent.cwnd != floor:
+                        cwnd = beta * agent.cwnd
+                        agent.cwnd = cwnd if cwnd > floor else floor
+            else:
+                increment = growth[path - 1]
+                for agent in senders:
+                    agent.chosen_path = path
+                    agent.cwnd += increment
 
     return StepRecord(t, tuple(loads), tuple(overflows), tuple(inst_rtts))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 STRATEGY_NAMES = (
@@ -66,18 +67,23 @@ class StrategyKind:
             raise ValueError("filter_factor must be finite and >= 1")
 
 
+# rank keys (field, path_id): ties go to the lowest path id
+_by_rtt = attrgetter("inst_rtt_ms", "path_id")
+_by_load = attrgetter("prev_load_mbps", "path_id")
+
+
 def select_min_rtt(views: Sequence[PathView]) -> int:
     """Greedy: the path with the lowest observed instantaneous RTT."""
     if not views:
         raise ValueError("cannot select from an empty path view")
-    return min(views, key=lambda v: (v.inst_rtt_ms, v.path_id)).path_id
+    return min(views, key=_by_rtt).path_id
 
 
 def select_min_load(views: Sequence[PathView]) -> int:
     """Cooperative: the path that carried the least load last step."""
     if not views:
         raise ValueError("cannot select from an empty path view")
-    return min(views, key=lambda v: (v.prev_load_mbps, v.path_id)).path_id
+    return min(views, key=_by_load).path_id
 
 
 def select_attribute_aware(views: Sequence[PathView], forbidden_tags: Iterable[str]) -> int:

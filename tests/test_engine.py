@@ -628,3 +628,63 @@ class TestExploreDraw:
                     assert twin.random() < 1.0
                     assert agent.chosen_path == twin.randrange(path_count) + 1
                     assert agent.rng.getstate() == twin.getstate()
+
+    # with exploiters present: epsilon 0.5 over 120 agents puts about 80
+    # windows of at least 1.0 on path 1 (50 Mbps) every step, so it
+    # overflows, and chosen_path is set by the update, after the draws
+    def test_every_agent_chooses_as_its_twin_rng_with_exploiters(self):
+        epsilon, agents_count, seed = 0.5, 120, 5
+        cfg = config("epsilon_greedy", agents=agents_count, seed=seed, epsilon=epsilon)
+        path_count = len(cfg.topology.paths)
+        agents = [AgentState(agent_id=i, cwnd=1.0, rng=random.Random(f"{seed}:{i}"))
+                  for i in range(agents_count)]
+        twins = [random.Random(f"{seed}:{i}") for i in range(agents_count)]
+        rtts = [path.base_rtt_ms for path in cfg.topology.paths]
+        prev = None
+        exploited = explored = 0
+        for _ in range(10):
+            min_rtt_path = min(range(path_count), key=lambda j: (rtts[j], j)) + 1
+            prev = mpsim.engine.step(agents, prev, cfg)
+            assert prev.overflows[0] > 0.0
+            for agent, twin in zip(agents, twins):
+                if twin.random() < epsilon:
+                    expected = twin.randrange(path_count) + 1
+                    explored += 1
+                else:
+                    expected = min_rtt_path
+                    exploited += 1
+                assert agent.chosen_path == expected
+                assert agent.rng.getstate() == twin.getstate()
+            rtts = prev.inst_rtts
+        assert exploited > 0 and explored > 0
+
+
+class TestEpsilonPathLists:
+    # step() sums each path's load over that path's list of senders and
+    # updates the windows list by list, skipping on a lost path those
+    # already at the floor
+    def test_window_below_the_floor_is_lifted_on_its_first_loss(self):
+        aimd = AimdParams(initial_cwnd=0.37)
+        cfg = SimConfig(topology=default_topology(), strategy=StrategyKind("epsilon_greedy"),
+                        num_agents=500, aimd=aimd, engine=EngineParams(steps=60))
+        assert oracle_agrees(run(cfg))
+        agents = [AgentState(agent_id=i, cwnd=aimd.initial_cwnd, rng=random.Random(f"0:{i}"))
+                  for i in range(cfg.num_agents)]
+        record = mpsim.engine.step(agents, None, cfg)
+        assert record.overflows[0] > 0.0
+        on_path_one = [agent.cwnd for agent in agents if agent.chosen_path == 1]
+        assert on_path_one and all(cwnd == aimd.cwnd_floor for cwnd in on_path_one)
+
+    # the herd sits on the floor from N = 100 on; mbps_per_cwnd != 1
+    # makes every load a sum of products
+    @pytest.mark.parametrize("agents", [10, 100, 500])
+    @pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("aimd_kind", ["default", "scaled"])
+    def test_update_matches_oracle(self, aimd_kind, epsilon, agents):
+        aimd = AIMD if aimd_kind == "default" else AimdParams(
+            initial_cwnd=0.37, alpha=0.73, beta=0.61, cwnd_floor=0.29,
+            mbps_per_cwnd=9.1 / agents)
+        cfg = SimConfig(topology=default_topology(),
+                        strategy=StrategyKind("epsilon_greedy", epsilon=epsilon),
+                        num_agents=agents, aimd=aimd, engine=EngineParams(steps=60))
+        assert oracle_agrees(run(cfg))
