@@ -99,7 +99,6 @@ _UNITS_PER_BINADE = 2 ** 53
 # of the 300 steps, and 0.84-0.85x at N = 250 (10 rounds), 0.77x at N = 276
 # and 0.66x at N = 500, where none does
 _COLUMNS_FROM_ROUND = 10
-_new_view = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -242,8 +241,12 @@ def _repeated_add(total: float, x: float, count: int) -> float:
     return total
 
 
+# builds a PathView from its five fields without the NamedTuple's
+# Python-level __new__
+_new_view = tuple.__new__
+
+
 def _views(paths: tuple[PathSpec, ...], prev: StepRecord | None) -> list[PathView]:
-    # tuple.__new__ skips the NamedTuple's Python-level __new__
     if prev is None:
         return [_new_view(PathView, (path.id, path.capacity_mbps, path.base_rtt_ms, 0.0,
                                      path.attributes))
@@ -413,9 +416,9 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
     else:
         for path, senders in enumerate(members, 1):
             if lost[path - 1]:
-                # beta * floor < floor, so a window at the floor stays
-                # there; one below it (an initial_cwnd under the floor) is
-                # lifted to it
+                # beta * floor < floor: a window at the floor stays
+                # there, one below it (an initial_cwnd under the floor)
+                # is lifted to it
                 for agent in senders:
                     agent.chosen_path = path
                     if agent.cwnd != floor:
