@@ -12,16 +12,17 @@ of the shared-choice strategies, epsilon-greedy's exploit target, and,
 in one pass over the paths, each path's overflow, RTT, loss flag and
 loss-free window increment. `_SHARED_CHOICE` holds one rule per
 shared-choice strategy; a rule builds the path views only if its
-selector reads them. The loops over states only pick a path, add the
-window to that path's load in agent order (the same float sum as one
-addition per agent) and apply their path's outcome, with no function
-call per agent. Epsilon-greedy's loop only draws and appends each agent
-to its path's list, in agent order; a path's load is the sum over its
-list, the same additions in the same order as one addition per agent
-into that path, and the update walks the lists. On a lost path it skips
-the windows already at the floor: beta * floor < floor, so the clamp
-would write the floor back, and at epsilon 0.1 and N >= 100 that is
-most exploiters on most steps.
+selector reads them. The loops over states only pick a path, put the
+state on that path's list of senders and add the window to that path's
+load in agent order (the same float sum as one addition per agent),
+with no function call per agent beyond epsilon-greedy's draws and the
+appends. Epsilon-greedy's loop sums each path's list after the draws:
+the same additions in the same order as one addition per agent into
+that path. The path pass then applies each path's outcome to its list,
+so the AIMD update is one loop for every strategy. On a lost path it
+skips the windows already at the floor: beta * floor < floor, so the
+clamp would write the floor back, and at epsilon 0.1 and N >= 100 that
+is most exploiters on most steps.
 
 Cohorts: run() lays the N agents out as S states, state k standing for
 agents k, k + S, k + 2S, ... (its `count`), which share a window and a
@@ -325,8 +326,9 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
     mbps_per_cwnd = aimd.mbps_per_cwnd
     paths = config.topology.paths
     loads = [0.0] * len(paths)
-    members = None
 
+    # each path's states in agent order (path ids run 1..P in topology
+    # order); the path pass applies the path's outcome to them
     rule = _shared_choice(strategy)
     if rule:
         choice = rule(config, prev_record, t)
@@ -337,6 +339,8 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
             agent.chosen_path = choice
             total = _repeated_add(total, agent.cwnd * mbps_per_cwnd, agent.count)
         loads[choice - 1] = total
+        members = [()] * len(paths)
+        members[choice - 1] = agents
     elif strategy.name == "epsilon_greedy":
         if len(agents) != config.num_agents:
             raise ValueError("epsilon_greedy needs one state per agent: each draws "
@@ -347,8 +351,6 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
         # CPython's Random._randbelow_with_getrandbits draws it (same
         # value, same rng state) without randrange's argument checks
         bits = path_count.bit_length()
-        # each path's senders in agent order (path ids run 1..P in
-        # topology order); the update walks them and sets chosen_path
         members = [[] for _ in paths]
         add_exploiter = members[exploit - 1].append
         for agent in agents:
@@ -357,8 +359,10 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
                 explored = rng.getrandbits(bits)
                 while explored >= path_count:
                     explored = rng.getrandbits(bits)
+                agent.chosen_path = explored + 1
                 members[explored].append(agent)
             else:
+                agent.chosen_path = exploit
                 add_exploiter(agent)
         for i, senders in enumerate(members):
             total = 0.0
@@ -371,64 +375,48 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
         if not schedule:
             raise ValueError("weighted_round_robin needs its non-empty wrr_schedule")
         period = len(schedule)
+        members = [[] for _ in paths]
         for agent in agents:
             path = schedule[(agent.agent_id + t) % period]
             agent.chosen_path = path
+            members[path - 1].append(agent)
             loads[path - 1] += agent.cwnd * mbps_per_cwnd
         if len(agents) < config.num_agents:
             _later_rounds(loads, agents, config.num_agents, mbps_per_cwnd)
 
-    # one pass over the paths. The RTT is the base RTT plus a queueing
-    # term above capacity, with max and min spelled as comparisons (the
-    # topology and EngineParams have already validated its inputs);
-    # queue delay follows the traffic the path actually carries, so shed
-    # overload does not keep adding delay. The AIMD update's per-path
-    # parts are hoisted here: any positive overflow gives every sender on
-    # that path a positive pro-rata share, so the loss flag needs no
-    # per-agent division, and a loss-free path grows each of its windows
-    # by the same increment
+    # one pass over the paths, which also applies the AIMD update. The
+    # RTT is the base RTT plus a queueing term above capacity, with max
+    # and min spelled as comparisons (the topology and EngineParams have
+    # already validated its inputs); queue delay follows the traffic the
+    # path actually carries, so shed overload does not keep adding delay.
+    # Any positive overflow gives every sender on that path a positive
+    # pro-rata share, so the loss flag needs no per-agent division: its
+    # senders halve, clamped at the floor. A loss-free path grows each
+    # of its windows by the same increment, alpha per RTT
     queue_scale, step_ms, alpha = config.engine.queue_scale_ms, config.engine.step_ms, aimd.alpha
+    floor, beta = aimd.cwnd_floor, aimd.beta
     overflows = []
     inst_rtts = []
-    lost = []
-    growth = []
-    for path, load in zip(paths, loads):
+    for path, load, senders in zip(paths, loads, members):
         capacity = path.capacity_mbps
         excess = load - capacity
-        overflows.append(excess if excess > 0.0 else 0.0)
-        lost.append(excess > 0.0)
         delivered = capacity if capacity < load else load
         queue = queue_scale * (delivered / capacity - 1.0)
         rtt = path.base_rtt_ms + (queue if queue > 0.0 else 0.0)
         inst_rtts.append(rtt)
-        growth.append(alpha * (step_ms / rtt))
-
-    # halve (clamped at the floor) on loss, else grow by alpha per RTT
-    floor, beta = aimd.cwnd_floor, aimd.beta
-    if members is None:
-        for agent in agents:
-            i = agent.chosen_path - 1
-            if lost[i]:
-                cwnd = beta * agent.cwnd
-                agent.cwnd = cwnd if cwnd > floor else floor
-            else:
-                agent.cwnd += growth[i]
-    else:
-        for path, senders in enumerate(members, 1):
-            if lost[path - 1]:
-                # beta * floor < floor: a window at the floor stays
-                # there, one below it (an initial_cwnd under the floor)
-                # is lifted to it
-                for agent in senders:
-                    agent.chosen_path = path
-                    if agent.cwnd != floor:
-                        cwnd = beta * agent.cwnd
-                        agent.cwnd = cwnd if cwnd > floor else floor
-            else:
-                increment = growth[path - 1]
-                for agent in senders:
-                    agent.chosen_path = path
-                    agent.cwnd += increment
+        if excess > 0.0:
+            overflows.append(excess)
+            # beta * floor < floor: a window at the floor stays there,
+            # one below it (an initial_cwnd under the floor) is lifted
+            for agent in senders:
+                if agent.cwnd != floor:
+                    cwnd = beta * agent.cwnd
+                    agent.cwnd = cwnd if cwnd > floor else floor
+        else:
+            overflows.append(0.0)
+            increment = alpha * (step_ms / rtt)
+            for agent in senders:
+                agent.cwnd += increment
 
     return StepRecord(t, tuple(loads), tuple(overflows), tuple(inst_rtts))
 
