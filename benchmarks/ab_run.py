@@ -23,7 +23,8 @@ Cells use the default topology, 300 steps, seed 0 and default AIMD:
   epsilon 0.1 with N = 25, 50, 100 and 250 and at epsilon 0.3 with
   N = 500, min_rtt and round robin at N = 10
   and 500, min_rtt at N = 25 and min_load at N = 50; every strategy at
-  N = 5000, and the five that run() steps as one state at N = 100,000.
+  N = 5000, and at N = 100,000 the five that run() steps as one state
+  and epsilon-greedy at epsilon 0.1, stepped as cohorts.
   A run without an rng stops stepping once its state recurs (see
   mpsim.engine): the N = 10 cells never recur and pay only the check,
   min_rtt at N = 25 recurs with a 154-step cycle that the check cannot
@@ -60,7 +61,8 @@ RUN_CELLS = ([("weighted_round_robin", 0.1, n) for n in (10, 25, 50, 100, 150, 5
              + [(name, 0.1, n) for name in ("min_rtt", "round_robin") for n in (10, 500)]
              + [("min_rtt", 0.1, 25), ("min_load", 0.1, 50)]
              + [(name, 0.1, 5000) for name in STRATEGIES]
-             + [(name, 0.1, 100_000) for name in SHARED])
+             + [(name, 0.1, 100_000) for name in SHARED]
+             + [("epsilon_greedy", 0.1, 100_000)])
 SCORE_CELLS = [(name, n) for n in (10, 500) for name in ("min_rtt", "epsilon_greedy")]
 
 

@@ -15,14 +15,11 @@ shared-choice strategy; a rule builds the path views only if its
 selector reads them. The loops over states only pick a path, put the
 state on that path's list of senders and add the window to that path's
 load in agent order (the same float sum as one addition per agent),
-with no function call per agent beyond epsilon-greedy's draws and the
-appends. Epsilon-greedy's loop sums each path's list after the draws:
-the same additions in the same order as one addition per agent into
-that path. The path pass then applies each path's outcome to its list,
-so the AIMD update is one loop for every strategy. On a lost path it
-skips the windows already at the floor: beta * floor < floor, so the
-clamp would write the floor back, and at epsilon 0.1 and N >= 100 that
-is most exploiters on most steps.
+with no function call per state beyond the appends and epsilon-greedy's
+draws. The path pass then applies each path's outcome to its list, so
+the AIMD update is one loop for every strategy. On a lost path it skips
+the windows already at the floor: beta * floor < floor, so the clamp
+would write the floor back.
 
 Cohorts: run() lays the N agents out as S states, state k standing for
 agents k, k + S, k + 2S, ... (its `count`), which share a window and a
@@ -35,13 +32,28 @@ round robin's cursors all start at 0, so every agent picks path
 robin staggers agent i's cursor to slot i mod L of its L-slot schedule
 and advances it once a step, so it picks slot (i + t) mod L and the
 agents of one cursor class i mod L stay identical: S = min(N, L).
-Epsilon-greedy at epsilon > 0 draws from one rng per agent, so its
-agents choose apart: S = N, grouped afresh each step by path. No
-state holds a cursor; it follows from `agent_id` and the step index,
-which step() reads off the previous record. Agent order visits the states
-round by round, so a path's load is the sequential float sum over that
-periodic sequence, bit for bit the per-agent sum; `_repeated_add`
-computes a run of equal windows in O(log count) instead of O(count).
+No state holds a cursor; it follows from `agent_id` and the step
+index, which step() reads off the previous record. Agent order visits
+the states round by round, so a path's load is the sequential float sum
+over that periodic sequence, bit for bit the per-agent sum;
+`_repeated_add` computes a run of equal windows in O(log count) instead
+of O(count).
+
+Epsilon-greedy at epsilon > 0 lets agents choose apart. Agents with
+equal windows are exchangeable, so run() keeps its agents as cohorts:
+the distinct windows with their agent counts, in ascending window
+order, all drawing from one stream per run. Each step a cohort of k
+agents draws X ~ Bin(k, epsilon) explorers, exact in distribution
+(`binomialvariate`), and spreads them over the P paths in path order
+by Bin(left, 1 / (P - j)), the sequential form of a multinomial with
+equal cells; its k - X exploiters take the min-RTT path. A cohort of
+one draws as a single agent: one uniform against epsilon, then the
+explored index. So the counts on each path have exactly the law of k
+independent agents' choices. Each path's load adds, cohort by cohort,
+its share of each cohort's window; the AIMD update applies once per
+(cohort, path) state, and states whose windows come out equal merge.
+A step costs O(cohorts x P) instead of O(N): at N = 500 and epsilon
+0.1 about 5 cohorts, most agents sitting on the floor.
 
 Recurrence: a greedy herd settles into a fixed point or a short cycle,
 and run() then stops recomputing it. Step t reads only the states'
@@ -57,18 +69,21 @@ step's state with a mark that it moves at doubling distances (Brent,
 testing the loads first: one tuple compare per step on a run that
 never recurs. On a match it copies the remaining whole cycles of
 records, which end in the same state, and steps the leftover steps.
-Epsilon-greedy at epsilon > 0 is excluded: each state's rng is part
-of its state, and its stream never repeats within a run.
+Epsilon-greedy at epsilon > 0 is excluded: the run's rng is part of
+its state, and its stream never repeats within a run.
 
 Runs are pure functions of their SimConfig: all randomness flows from
-the config seed through per-agent streams.
+the config seed through one stream per run, seeded from the seed's
+string (so seeds s and -s draw apart).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .strategy import (
     PathView,
@@ -83,12 +98,18 @@ from .topology import HIGH_COST_TAG, PathSpec, Topology
 
 DEFAULT_STEPS = 300
 
+_floor, _lgamma, _log, _log2, _sqrt = math.floor, math.lgamma, math.log, math.log2, math.sqrt
+
 # below this count a plain loop of additions beats the binade walk of
 # _repeated_add. Summing four non-dyadic windows from 0.0 (best of 5 x 200
 # calls, 2-vCPU x86_64 host, CPython 3.11.7), the loop against the walk
 # took 5.4-6.3 us against 5.8-8.9 us at 300 additions, 8.3-8.6 us against
 # 6.7-7.1 us at 400, and 49-52 us against 8.3-9.1 us at 2000
 _PLAIN_LOOP_BELOW = 300
+# from this count on, _repeated_add first tests whether every partial sum
+# is exact (windows on a coarse grid, such as a herd at the floor), which
+# costs about as much as this many plain additions
+_EXACT_TEST_FROM = 16
 _UNITS_PER_BINADE = 2 ** 53
 # from this many rounds of states on, _later_rounds tests whether each
 # path's column of windows is equal before it walks round by round. Timed
@@ -100,6 +121,15 @@ _UNITS_PER_BINADE = 2 ** 53
 # of the 300 steps, and 0.84-0.85x at N = 250 (10 rounds), 0.77x at N = 276
 # and 0.66x at N = 500, where none does
 _COLUMNS_FROM_ROUND = 10
+
+
+def _index(owner, name: str) -> None:
+    """Store `owner`'s field `name` as what operator.index makes of it;
+    refuse a bool, which operator.index takes but is not a count."""
+    value = getattr(owner, name)
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+    object.__setattr__(owner, name, operator.index(value))
 
 
 @dataclass(frozen=True)
@@ -134,6 +164,7 @@ class EngineParams:
     queue_scale_ms: float = 10.0
 
     def __post_init__(self):
+        _index(self, "steps")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if not 0.0 < self.step_ms < math.inf:
@@ -144,24 +175,23 @@ class EngineParams:
 
 @dataclass(slots=True)
 class AgentState:
-    """The mutable state of the `count` agents `agent_id`, `agent_id` + S,
-    `agent_id` + 2S, ... of a run laid out as S states, which share a
-    window and a choice.
+    """The mutable state of `count` agents that share a window and, for
+    the step, a choice.
 
-    step() adds the window to the chosen path's load once per agent, in
-    agent order, and applies one AIMD update to the state, whatever its
-    count. Agents stay identical only while they choose alike: run()
-    builds one state of count N for the shared-choice strategies, one
-    state per cursor class for weighted round robin, whose cursor is
-    `agent_id` plus the step index, and singletons for epsilon-greedy at
-    epsilon > 0, each with its own `rng`. step() takes the states of all
-    `config.num_agents` agents, and refuses epsilon-greedy states that
-    are not singletons where it draws.
+    step() adds the window to the chosen path's load once per agent and
+    applies one AIMD update to the state, whatever its count. run()
+    builds one state of count N for the shared-choice strategies and one
+    state per cursor class for weighted round robin, standing for agents
+    `agent_id`, `agent_id` + S, `agent_id` + 2S, ... of its S states;
+    its cursor is `agent_id` plus the step index. Epsilon-greedy at
+    epsilon > 0 keeps one state per distinct window, a cohort, in
+    ascending window order (`agent_id` unused): step() splits each
+    cohort by its draws into one state per chosen path and merges the
+    states whose windows come out equal.
     """
 
     agent_id: int
     cwnd: float
-    rng: random.Random | None = None
     chosen_path: int | None = None
     count: int = 1
 
@@ -177,6 +207,7 @@ class SimConfig:
     forbidden_tags: frozenset[str] = frozenset({HIGH_COST_TAG})
 
     def __post_init__(self):
+        _index(self, "num_agents")
         if self.num_agents < 1:
             raise ValueError("num_agents must be >= 1")
 
@@ -189,6 +220,25 @@ class StepRecord:
     loads: tuple[float, ...]
     overflows: tuple[float, ...]
     inst_rtts: tuple[float, ...]
+
+
+def _record(step: int, loads: tuple[float, ...], overflows: tuple[float, ...],
+            inst_rtts: tuple[float, ...]) -> StepRecord:
+    """StepRecord(step, loads, overflows, inst_rtts): the four
+    object.__setattr__ calls of the frozen dataclass's __init__, made
+    without its call frame, once per step (1.1 against 1.5 us, 2-vCPU
+    x86_64 host, CPython 3.11.7). Filling the record's __dict__ builds
+    faster still, but a materialized __dict__ doubles the cost of every
+    later attribute read, as score()'s."""
+    record = _new_record(StepRecord)
+    _set_field(record, "step", step)
+    _set_field(record, "loads", loads)
+    _set_field(record, "overflows", overflows)
+    _set_field(record, "inst_rtts", inst_rtts)
+    return record
+
+
+_new_record, _set_field = object.__new__, object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -213,7 +263,7 @@ def _repeated_add(total: float, x: float, count: int) -> float:
     crossed a binade: that one rounds on the lower binade's grid, and the
     parity it leaves is not yet settled.
     """
-    if count < _PLAIN_LOOP_BELOW:
+    if count < _EXACT_TEST_FROM:
         for _ in range(count):
             total += x
         return total
@@ -224,6 +274,10 @@ def _repeated_add(total: float, x: float, count: int) -> float:
         # every partial sum, all below 2**53 units, hence floats, so each
         # addition is exact
         return exact
+    if count < _PLAIN_LOOP_BELOW:
+        for _ in range(count):
+            total += x
+        return total
     while count:
         before = total
         total += x
@@ -242,9 +296,66 @@ def _repeated_add(total: float, x: float, count: int) -> float:
     return total
 
 
+def binomialvariate(random, n: int, p: float) -> int:
+    """A draw of Bin(n, p), exact in distribution, from the uniforms of
+    `random` (a `random.Random`'s bound method): CPython 3.12's
+    `random.binomialvariate`, which 3.11 lacks. By symmetry p <= 0.5;
+    below n * p = 10 Devroye's geometric method (Non-Uniform Random
+    Variate Generation, 1986, ch. X), above it Hörmann's BTRS (J. Stat.
+    Comput. Simul. 46, 1993). Unlike CPython, n = 0 draws nothing and a
+    uniform of 0.0 reaches no log or division."""
+    if not n or p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    if n == 1:
+        return 1 if random() < p else 0
+    if p > 0.5:
+        return n - binomialvariate(random, n, 1.0 - p)
+    if n * p < 10.0:
+        # the gaps between successes are geometric: count the successes
+        # whose trial index stays within n
+        c = _log2(1.0 - p)
+        if not c:
+            return 0
+        x = y = 0
+        while True:
+            y += _floor(_log2(1.0 - random()) / c) + 1
+            if y > n:
+                return x
+            x += 1
+    spq = _sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    alpha = lpq = m = h = None
+    while True:
+        u = random() - 0.5
+        us = 0.5 - abs(u)
+        if not us:
+            continue
+        k = _floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = random()
+        if us >= 0.07 and v <= vr:
+            return k
+        if alpha is None:
+            alpha = (2.83 + 5.1 / b) * spq
+            lpq = _log(p / (1.0 - p))
+            m = _floor((n + 1) * p)
+            h = _lgamma(m + 1) + _lgamma(n - m + 1)
+        v *= alpha / (a / (us * us) + b)
+        if not v or (_log(v) <= h - _lgamma(k + 1) - _lgamma(n - k + 1)
+                     + (k - m) * lpq):
+            return k
+
+
 # builds a PathView from its five fields without the NamedTuple's
 # Python-level __new__
 _new_view = tuple.__new__
+_by_cwnd = attrgetter("cwnd")
 
 
 def _views(paths: tuple[PathSpec, ...], prev: StepRecord | None) -> list[PathView]:
@@ -314,12 +425,15 @@ def _later_rounds(loads: list[float], agents: list[AgentState], num_agents: int,
 
 
 def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimConfig,
-         schedule: tuple[int, ...] | None = None) -> StepRecord:
+         schedule: tuple[int, ...] | None = None,
+         rng: random.Random | None = None) -> StepRecord:
     """Advance the simulation one step, mutating the states in place.
 
     `agents` holds the states of all `config.num_agents` agents in
-    run()'s layout; `schedule` is weighted round robin's wrr_schedule.
-    The step index follows `prev_record`'s."""
+    run()'s layout; `schedule` is weighted round robin's wrr_schedule and
+    `rng` the run's stream that epsilon-greedy draws from. Epsilon-
+    greedy's list ends the step as the new cohorts. The step index
+    follows `prev_record`'s."""
     t = 0 if prev_record is None else prev_record.step + 1
     strategy = config.strategy
     aimd = config.aimd
@@ -329,7 +443,7 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
 
     # each path's states in agent order (path ids run 1..P in topology
     # order); the path pass applies the path's outcome to them
-    rule = _shared_choice(strategy)
+    rule = None if rng else _shared_choice(strategy)
     if rule:
         choice = rule(config, prev_record, t)
         # the states hold equal windows (they start equal and choose
@@ -341,39 +455,80 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
         loads[choice - 1] = total
         members = [()] * len(paths)
         members[choice - 1] = agents
-    elif strategy.name == "epsilon_greedy":
-        if len(agents) != config.num_agents:
-            raise ValueError("epsilon_greedy needs one state per agent: each draws "
-                             "from its own rng")
-        exploit = select_min_rtt(_views(paths, prev_record))
+    elif rng:
+        # min-RTT, ties to the lowest path id: index() finds the first minimum
+        rtts = prev_record.inst_rtts if prev_record else [path.base_rtt_ms for path in paths]
+        exploit = rtts.index(min(rtts))
+        exploit_id = exploit + 1
         epsilon, path_count = strategy.epsilon, len(paths)
-        # the explored index is rng.randrange(path_count), drawn as
-        # CPython's Random._randbelow_with_getrandbits draws it (same
+        uniform, getrandbits = rng.random, rng.getrandbits
+        # a singleton's explored index is rng.randrange(path_count), drawn
+        # as CPython's Random._randbelow_with_getrandbits draws it (same
         # value, same rng state) without randrange's argument checks
         bits = path_count.bit_length()
-        members = [[] for _ in paths]
-        add_exploiter = members[exploit - 1].append
+        # a loop, not a comprehension: CPython 3.11 calls a comprehension
+        # as a function, about 0.2 us a step here
+        members = []
+        for _ in paths:
+            members.append([])
+        add_exploiter = members[exploit].append
+        born = []
+        # cohort by cohort in ascending window order, so each path's load
+        # adds its cohorts' windows in that order
+        # the exploited path's load, to which most states add, sums in a local
+        exploit_load = 0.0
         for agent in agents:
-            rng = agent.rng
-            if rng.random() < epsilon:
-                explored = rng.getrandbits(bits)
-                while explored >= path_count:
-                    explored = rng.getrandbits(bits)
-                agent.chosen_path = explored + 1
-                members[explored].append(agent)
-            else:
-                agent.chosen_path = exploit
+            if agent.count == 1:
+                if uniform() < epsilon:
+                    path = getrandbits(bits)
+                    while path >= path_count:
+                        path = getrandbits(bits)
+                    agent.chosen_path = path + 1
+                    members[path].append(agent)
+                    if path == exploit:
+                        exploit_load += agent.cwnd * mbps_per_cwnd
+                    else:
+                        loads[path] += agent.cwnd * mbps_per_cwnd
+                else:
+                    agent.chosen_path = exploit_id
+                    add_exploiter(agent)
+                    exploit_load += agent.cwnd * mbps_per_cwnd
+                continue
+            # Bin(count, epsilon) explorers, spread over the paths in path
+            # order by Bin(left, 1 / paths left), a multinomial of equal
+            # cells (p = 1 on the last path takes the rest); the exploiters
+            # join the min-RTT path's share
+            count = agent.count
+            load = agent.cwnd * mbps_per_cwnd
+            explorers = left = binomialvariate(uniform, count, epsilon)
+            if not explorers:
+                agent.chosen_path = exploit_id
                 add_exploiter(agent)
-        for i, senders in enumerate(members):
-            total = 0.0
-            for agent in senders:
-                total += agent.cwnd * mbps_per_cwnd
-            loads[i] = total
-    else:
+                exploit_load = _repeated_add(exploit_load, load, count)
+                continue
+            state = agent
+            for path in range(path_count):
+                share = left and binomialvariate(uniform, left, 1.0 / (path_count - path))
+                left -= share
+                if path == exploit:
+                    share += count - explorers
+                if not share:
+                    continue
+                if state is None:
+                    state = AgentState(0, agent.cwnd, path + 1, share)
+                    born.append(state)
+                else:
+                    state.chosen_path, state.count = path + 1, share
+                members[path].append(state)
+                if path == exploit:
+                    exploit_load = _repeated_add(exploit_load, load, share)
+                else:
+                    loads[path] = _repeated_add(loads[path], load, share)
+                state = None
+        loads[exploit] = exploit_load
+    elif schedule:
         # weighted round robin: state k's cursor starts at slot k and
         # advances once a step through the smooth schedule
-        if not schedule:
-            raise ValueError("weighted_round_robin needs its non-empty wrr_schedule")
         period = len(schedule)
         members = [[] for _ in paths]
         for agent in agents:
@@ -383,6 +538,10 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
             loads[path - 1] += agent.cwnd * mbps_per_cwnd
         if len(agents) < config.num_agents:
             _later_rounds(loads, agents, config.num_agents, mbps_per_cwnd)
+    elif strategy.name == "epsilon_greedy":
+        raise ValueError("epsilon_greedy needs the run's rng")
+    else:
+        raise ValueError("weighted_round_robin needs its non-empty wrr_schedule")
 
     # one pass over the paths, which also applies the AIMD update. The
     # RTT is the base RTT plus a queueing term above capacity, with max
@@ -418,7 +577,26 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
             for agent in senders:
                 agent.cwnd += increment
 
-    return StepRecord(t, tuple(loads), tuple(overflows), tuple(inst_rtts))
+    if rng is not None:
+        # the new cohorts: the states in ascending window order, and where
+        # the update made windows equal (say two cohorts halved onto the
+        # floor) one state for them, which keeps the first one's path
+        agents += born
+        agents.sort(key=_by_cwnd)
+        last = None
+        for state in agents:
+            if state.cwnd == last:
+                cohorts = []
+                for part in agents:
+                    if cohorts and part.cwnd == cohorts[-1].cwnd:
+                        cohorts[-1].count += part.count
+                    else:
+                        cohorts.append(part)
+                agents[:] = cohorts
+                break
+            last = state.cwnd
+
+    return _record(t, tuple(loads), tuple(overflows), tuple(inst_rtts))
 
 
 def run(config: SimConfig) -> Telemetry:
@@ -430,14 +608,8 @@ def run(config: SimConfig) -> Telemetry:
     copies, sharing the cycle's tuples under their own step index."""
     strategy, agent_count = config.strategy, config.num_agents
     initial_cwnd = float(config.aimd.initial_cwnd)
-    schedule = None
-    if _shared_choice(strategy):
-        agents = [AgentState(agent_id=0, cwnd=initial_cwnd, count=agent_count)]
-    elif strategy.name == "epsilon_greedy":
-        agents = [AgentState(agent_id=i, cwnd=initial_cwnd,
-                             rng=random.Random(f"{config.seed}:{i}"))
-                  for i in range(agent_count)]
-    else:
+    schedule = rng = None
+    if strategy.name == "weighted_round_robin":
         # weighted round robin staggers agent i's start slot to i mod L so
         # concurrent windows spread over the schedule instead of marching
         # on one path per step; each cursor class is one state
@@ -446,19 +618,26 @@ def run(config: SimConfig) -> Telemetry:
         rounds, rest = divmod(agent_count, classes)
         agents = [AgentState(agent_id=k, cwnd=initial_cwnd, count=rounds + (k < rest))
                   for k in range(classes)]
+    else:
+        # one state of all N agents, which epsilon-greedy at epsilon > 0
+        # takes as its first cohort, with one stream for the run seeded
+        # from the seed's string: one SHA-512, and -s seeds apart from s
+        agents = [AgentState(agent_id=0, cwnd=initial_cwnd, count=agent_count)]
+        if not _shared_choice(strategy):
+            rng = random.Random(str(config.seed))
 
     # Brent's mark: the state after step `mark`, moved to the current step
     # whenever the distance reaches `reach`, which then doubles. A cycle's
     # length must be a multiple of the phase of the rules that read t
     phase = len(schedule) if schedule else len(config.topology.paths)
-    watching = agents[0].rng is None
+    watching = rng is None
     mark, mark_loads, mark_cwnds, reach = -1, None, None, 1
     steps = config.engine.steps
     records: list[StepRecord] = []
     prev: StepRecord | None = None
     t = 0
     while t < steps:
-        prev = step(agents, prev, config, schedule)
+        prev = step(agents, prev, config, schedule, rng)
         records.append(prev)
         if watching:
             if (prev.loads == mark_loads and (t - mark) % phase == 0
@@ -469,7 +648,7 @@ def run(config: SimConfig) -> Telemetry:
                 end = t + 1 + (steps - 1 - t) // cycle * cycle
                 for k in range(t + 1, end):
                     r = records[k - cycle]
-                    records.append(StepRecord(k, r.loads, r.overflows, r.inst_rtts))
+                    records.append(_record(k, r.loads, r.overflows, r.inst_rtts))
                 prev = records[-1]
                 t = end - 1
                 watching = False
@@ -477,9 +656,15 @@ def run(config: SimConfig) -> Telemetry:
                 mark, mark_loads, reach = t, prev.loads, 2 * reach
                 mark_cwnds = [agent.cwnd for agent in agents]
         t += 1
-    # agent i is state i mod S: repeat the S windows in agent order
-    cwnds = [agent.cwnd for agent in agents]
-    final_cwnds = (cwnds * (agent_count // len(cwnds) + 1))[:agent_count]
+    if schedule:
+        # agent i is state i mod S: repeat the S windows in agent order
+        cwnds = [agent.cwnd for agent in agents]
+        final_cwnds = (cwnds * (agent_count // len(cwnds) + 1))[:agent_count]
+    else:
+        # each state's window repeated by its count, cohorts in their order
+        final_cwnds = []
+        for agent in agents:
+            final_cwnds += [agent.cwnd] * agent.count
     return Telemetry(records=tuple(records), final_cwnds=tuple(final_cwnds), config=config)
 
 

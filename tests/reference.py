@@ -1,9 +1,12 @@
 """Straight-line reference simulator used as an oracle in tests.
 
-Deliberately naive: plain dicts and per-agent loops, no code shared
-with mpsim.engine. Selection rules, the smooth-WRR schedule, and the
-window update are re-spelled here from scratch so the production
-engine has an independent implementation to be checked against.
+Deliberately naive: plain dicts and per-agent loops. Selection rules,
+the smooth-WRR schedule, the window update and epsilon-greedy's
+cohort draws are re-spelled here from scratch so the production engine
+has an independent implementation to be checked against. The one piece
+of code shared with mpsim.engine is the binomial sampler
+`binomialvariate`, whose exactness the unit tests check against the
+binomial pmf on their own.
 
 It also keeps the single-agent formulas that the engine inlines and
 the package therefore no longer exports: the RTT view, pro-rata loss,
@@ -16,6 +19,8 @@ follow from the step index.
 
 import math
 import random
+
+from mpsim.engine import binomialvariate
 
 HIGH_COST = "high-cost"
 
@@ -48,13 +53,23 @@ def naive_run(paths, strategy, num_agents, steps, seed,
     paths: list of dicts {"id", "cap", "rtt", "attrs"}.
     Returns (records, cwnds) where each record is a dict with "loads",
     "overflows", "rtts" lists indexed by path position.
+
+    Epsilon-greedy at epsilon > 0 draws from one stream seeded with
+    str(seed). Each step it groups the agents by window into cohorts,
+    taken in ascending window order. A cohort of one draws as an agent:
+    explore with probability epsilon, then a uniform path by randrange.
+    A cohort of k draws X ~ Bin(k, epsilon) explorers and spreads them
+    over the paths in path order by Bin(left, 1 / paths left); the other
+    k - X agents exploit the min-RTT path. Each path's load adds its
+    agents' windows cohort by cohort, and the final windows come back
+    in ascending order.
     """
     n_paths = len(paths)
     cwnd = [float(initial_cwnd)] * num_agents
     cursor = [0] * num_agents
-    rngs = None
-    if strategy == "epsilon_greedy":
-        rngs = [random.Random(f"{seed}:{i}") for i in range(num_agents)]
+    rng = None
+    if strategy == "epsilon_greedy" and epsilon > 0:
+        rng = random.Random(str(seed))
     slots = None
     if strategy == "weighted_round_robin":
         slots = smooth_wrr_slots([p["cap"] for p in paths])
@@ -67,6 +82,36 @@ def naive_run(paths, strategy, num_agents, steps, seed,
 
     for t in range(steps):
         chosen = [0] * num_agents
+        cohorts = None
+        if rng is not None:
+            pick = 0
+            for j in range(1, n_paths):
+                if prev_rtts[j] < prev_rtts[pick]:
+                    pick = j
+            by_window = {}
+            for i in range(num_agents):
+                by_window.setdefault(cwnd[i], []).append(i)
+            cohorts = [by_window[w] for w in sorted(by_window)]
+            for members in cohorts:
+                shares = [0] * n_paths
+                if len(members) == 1:
+                    if rng.random() < epsilon:
+                        shares[rng.randrange(n_paths)] = 1
+                    else:
+                        shares[pick] = 1
+                else:
+                    explorers = binomialvariate(rng.random, len(members), epsilon)
+                    left = explorers
+                    for j in range(n_paths - 1):
+                        shares[j] = binomialvariate(rng.random, left, 1.0 / (n_paths - j))
+                        left -= shares[j]
+                    shares[n_paths - 1] = left
+                    shares[pick] += len(members) - explorers
+                start = 0
+                for j in range(n_paths):
+                    for i in members[start:start + shares[j]]:
+                        chosen[i] = paths[j]["id"]
+                    start += shares[j]
         for i in range(num_agents):
             if strategy == "min_rtt":
                 pick = 0
@@ -95,14 +140,13 @@ def naive_run(paths, strategy, num_agents, steps, seed,
                 chosen[i] = slots[cursor[i] % len(slots)]
                 cursor[i] += 1
             elif strategy == "epsilon_greedy":
-                if rngs[i].random() < epsilon:
-                    chosen[i] = paths[rngs[i].randrange(n_paths)]["id"]
-                else:
-                    pick = 0
-                    for j in range(1, n_paths):
-                        if prev_rtts[j] < prev_rtts[pick]:
-                            pick = j
-                    chosen[i] = paths[pick]["id"]
+                if cohorts is not None:
+                    continue  # drawn by its cohort above
+                pick = 0
+                for j in range(1, n_paths):
+                    if prev_rtts[j] < prev_rtts[pick]:
+                        pick = j
+                chosen[i] = paths[pick]["id"]
             elif strategy == "blest":
                 best = min(prev_rtts)
                 allowed = [j for j in range(n_paths)
@@ -116,7 +160,8 @@ def naive_run(paths, strategy, num_agents, steps, seed,
                 raise ValueError(strategy)
 
         loads = [0.0] * n_paths
-        for i in range(num_agents):
+        for i in (range(num_agents) if cohorts is None
+                  else [i for members in cohorts for i in members]):
             loads[chosen[i] - 1] += cwnd[i] * mbps_per_cwnd
 
         overflows = [0.0] * n_paths
@@ -139,7 +184,7 @@ def naive_run(paths, strategy, num_agents, steps, seed,
         prev_loads = loads
         prev_rtts = rtts
 
-    return records, cwnd
+    return records, (cwnd if rng is None else sorted(cwnd))
 
 
 def oracle_agrees(telemetry):

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 from functools import partial
@@ -20,7 +22,8 @@ from mpsim import (
     timeseries_csv,
     wrr_schedule,
 )
-from mpsim.engine import _PLAIN_LOOP_BELOW, _repeated_add, _views
+from mpsim.engine import (_PLAIN_LOOP_BELOW, StepRecord, _record, _repeated_add, _views,
+                          binomialvariate)
 from mpsim.strategy import PathView
 from reference import apportion_loss, oracle_agrees, rtt_instantaneous, update_cwnd
 
@@ -126,6 +129,28 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             config(agents=0)
 
+    # a float step count used to run ceil(steps) steps, or fail inside
+    # run()'s replay; a bool agent count ran one agent
+    @pytest.mark.parametrize("value", [2.5, 300.0, True, False, "3", None])
+    def test_steps_must_be_an_integer(self, value):
+        with pytest.raises(TypeError, match="steps must be an integer"):
+            EngineParams(steps=value)
+
+    @pytest.mark.parametrize("value", [2.5, 10.0, True, "3", None])
+    def test_agents_must_be_an_integer(self, value):
+        with pytest.raises(TypeError, match="num_agents must be an integer"):
+            config(agents=value)
+
+    def test_counts_accept_what_operator_index_accepts(self):
+        import numpy as np
+
+        engine = EngineParams(steps=np.int64(7))
+        cfg = SimConfig(topology=default_topology(), strategy=StrategyKind("min_rtt"),
+                        num_agents=np.int32(3), engine=engine)
+        assert type(engine.steps) is int and engine.steps == 7
+        assert type(cfg.num_agents) is int and cfg.num_agents == 3
+        assert len(run(cfg).records) == 7
+
 
 class TestSingleSteps:
     def test_single_agent_first_step(self):
@@ -165,6 +190,13 @@ class TestRun:
     def test_seed_changes_epsilon_run(self):
         a = run(config("epsilon_greedy", agents=40, steps=120, seed=1))
         b = run(config("epsilon_greedy", agents=40, steps=120, seed=2))
+        assert a.records != b.records
+
+    def test_negated_seed_changes_epsilon_run(self):
+        # the run's stream is seeded from the seed's string: random.Random
+        # seeded with an int takes its absolute value
+        a = run(config("epsilon_greedy", agents=40, steps=120, seed=3))
+        b = run(config("epsilon_greedy", agents=40, steps=120, seed=-3))
         assert a.records != b.records
 
     def test_round_robin_three_agents_rotate_together(self):
@@ -384,10 +416,11 @@ class TestStepContract:
         # step() derives the step index from the previous record, which
         # drives the round-robin and weighted-round-robin cursors
         cfg = config(strategy, agents=50, steps=40, seed=4)
-        schedule = None
+        schedule = rng = None
         if strategy == "epsilon_greedy":
-            agents = [AgentState(agent_id=i, cwnd=1.0, rng=random.Random(f"4:{i}"))
-                      for i in range(50)]
+            # one cohort of all 50 agents, and the run's stream
+            agents = [AgentState(agent_id=0, cwnd=1.0, count=50)]
+            rng = random.Random("4")
         elif strategy == "weighted_round_robin":
             schedule = wrr_schedule(cfg.topology.capacities())
             # 50 agents over 23 cursor classes: two full rounds, then 4 more
@@ -398,7 +431,7 @@ class TestStepContract:
         records = []
         prev = None
         for _ in range(cfg.engine.steps):
-            prev = mpsim.engine.step(agents, prev, cfg, schedule)
+            prev = mpsim.engine.step(agents, prev, cfg, schedule, rng)
             records.append(prev)
         assert tuple(records) == run(cfg).records
 
@@ -468,6 +501,24 @@ class TestCohortsAgainstOracle:
                 assert rtt >= path.base_rtt_ms
         assert len(telemetry.final_cwnds) == agents
         assert set(telemetry.final_cwnds) == {cfg.aimd.cwnd_floor}
+
+    def test_hundred_thousand_epsilon_agents_smoke(self):
+        # epsilon 0.1 steps a handful of cohorts, not 100,000 draws: the
+        # records hold the engine invariants and the cohorts expand back
+        # to one window per agent
+        agents = 100_000
+        cfg = config("epsilon_greedy", agents=agents, steps=300, epsilon=0.1)
+        telemetry = run(cfg)
+        paths = cfg.topology.paths
+        assert [r.step for r in telemetry.records] == list(range(300))
+        for record in telemetry.records:
+            for path, load, overflow, rtt in zip(paths, record.loads, record.overflows,
+                                                 record.inst_rtts):
+                assert overflow == max(0.0, load - path.capacity_mbps)
+                assert rtt >= path.base_rtt_ms
+            assert all(load > 0.0 for load in record.loads)
+        assert len(telemetry.final_cwnds) == agents
+        assert all(cwnd >= cfg.aimd.cwnd_floor for cwnd in telemetry.final_cwnds)
 
 
 RNG_FREE = [StrategyKind(name) for name in STRATEGY_NAMES if name != "epsilon_greedy"] + [
@@ -557,8 +608,14 @@ class TestCohortStates:
 
         monkeypatch.setattr(mpsim.engine, "step", recording_step)
         run(config(strategy, agents=12, steps=3))
-        per_agent = strategy in ("weighted_round_robin", "epsilon_greedy")
-        assert counts == [[1] * 12 if per_agent else [12]] * 3
+        if strategy == "epsilon_greedy":
+            # one cohort until the draws set windows apart; every step's
+            # cohorts stand for all 12 agents
+            assert counts[0] == [12]
+            assert all(sum(step_counts) == 12 for step_counts in counts)
+        else:
+            per_class = strategy == "weighted_round_robin"
+            assert counts == [[1] * 12 if per_class else [12]] * 3
 
     @pytest.mark.parametrize("strategy, epsilon, agents, expected", [
         ("weighted_round_robin", 0.1, 22, [1] * 22),
@@ -584,11 +641,45 @@ class TestCohortStates:
         assert layouts == [list(enumerate(expected))] * 3
         assert sum(expected) == agents == len(telemetry.final_cwnds)
 
-    def test_epsilon_greedy_refuses_a_shared_state(self):
+    def test_epsilon_greedy_step_needs_the_runs_rng(self):
         cfg = config("epsilon_greedy", agents=2, steps=1)
-        agents = [AgentState(agent_id=0, cwnd=1.0, rng=random.Random(0), count=2)]
-        with pytest.raises(ValueError, match="one state per agent"):
+        agents = [AgentState(agent_id=0, cwnd=1.0, count=2)]
+        with pytest.raises(ValueError, match="the run's rng"):
             mpsim.engine.step(agents, None, cfg)
+
+    def test_weighted_round_robin_step_needs_its_schedule(self):
+        cfg = config("weighted_round_robin", agents=2, steps=1)
+        agents = [AgentState(agent_id=k, cwnd=1.0) for k in range(2)]
+        for schedule in (None, ()):
+            with pytest.raises(ValueError, match="wrr_schedule"):
+                mpsim.engine.step(agents, None, cfg, schedule)
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("agents", [2, 25, 500])
+    def test_epsilon_cohorts_are_distinct_ascending_windows(self, monkeypatch, epsilon,
+                                                            agents):
+        # after every step the states are the cohorts: distinct windows in
+        # ascending order whose counts add up to N, each on a valid path
+        real_step = mpsim.engine.step
+        cfg = config("epsilon_greedy", agents=agents, steps=60, epsilon=epsilon)
+        seen = []
+
+        def recording_step(states, *args, **kwargs):
+            record = real_step(states, *args, **kwargs)
+            seen.append([(state.cwnd, state.count, state.chosen_path) for state in states])
+            return record
+
+        monkeypatch.setattr(mpsim.engine, "step", recording_step)
+        telemetry = run(cfg)
+        assert len(seen) == cfg.engine.steps
+        for cohorts in seen:
+            windows = [cwnd for cwnd, _, _ in cohorts]
+            assert windows == sorted(set(windows))
+            assert sum(count for _, count, _ in cohorts) == agents
+            assert all(count >= 1 and 1 <= path <= cfg.topology.path_count
+                       for _, count, path in cohorts)
+        assert telemetry.final_cwnds == tuple(
+            cwnd for cwnd, count, _ in seen[-1] for _ in range(count))
 
 
 class TestHerdInvariant:
@@ -611,53 +702,64 @@ class TestTimeseriesCsv:
 
 
 class TestExploreDraw:
-    # step() draws the explored index with getrandbits, as CPython's
-    # randrange does; a Python release that draws randrange otherwise
-    # fails here by name
+    # a singleton cohort draws as one agent: a uniform against epsilon,
+    # then an explored index that step() draws with getrandbits as CPython's
+    # randrange does; a Python release that draws randrange otherwise fails
+    # here by name
     @pytest.mark.parametrize("path_count", range(1, 10))
     def test_explored_index_is_randrange(self, path_count):
         topology = paths_topology(path_count)
         for seed in range(4):
             cfg = config("epsilon_greedy", agents=3, seed=seed, epsilon=1.0, topology=topology)
-            agents = [AgentState(agent_id=i, cwnd=1.0, rng=random.Random(f"{seed}:{i}"))
-                      for i in range(3)]
-            twins = [random.Random(f"{seed}:{i}") for i in range(3)]
+            # three singleton cohorts whose windows stay apart for 6 steps
+            agents = [AgentState(agent_id=0, cwnd=cwnd) for cwnd in (1.0, 1e3, 1e6)]
+            rng, twin = random.Random(str(seed)), random.Random(str(seed))
             prev = None
             for _ in range(6):
-                prev = mpsim.engine.step(agents, prev, cfg)
-                for agent, twin in zip(agents, twins):
+                drawing = list(agents)
+                prev = mpsim.engine.step(agents, prev, cfg, None, rng)
+                assert [agent.count for agent in agents] == [1, 1, 1]
+                for agent in drawing:
                     assert twin.random() < 1.0
                     assert agent.chosen_path == twin.randrange(path_count) + 1
-                    assert agent.rng.getstate() == twin.getstate()
+                assert rng.getstate() == twin.getstate()
 
-    # with exploiters present: epsilon 0.5 over 120 agents puts about 80
-    # windows of at least 1.0 on path 1 (50 Mbps) every step, so it
-    # overflows, and chosen_path is set by the update, after the draws
-    def test_every_agent_chooses_as_its_twin_rng_with_exploiters(self):
-        epsilon, agents_count, seed = 0.5, 120, 5
-        cfg = config("epsilon_greedy", agents=agents_count, seed=seed, epsilon=epsilon)
-        path_count = len(cfg.topology.paths)
-        agents = [AgentState(agent_id=i, cwnd=1.0, rng=random.Random(f"{seed}:{i}"))
-                  for i in range(agents_count)]
-        twins = [random.Random(f"{seed}:{i}") for i in range(agents_count)]
-        rtts = [path.base_rtt_ms for path in cfg.topology.paths]
-        prev = None
-        exploited = explored = 0
-        for _ in range(10):
-            min_rtt_path = min(range(path_count), key=lambda j: (rtts[j], j)) + 1
-            prev = mpsim.engine.step(agents, prev, cfg)
-            assert prev.overflows[0] > 0.0
-            for agent, twin in zip(agents, twins):
-                if twin.random() < epsilon:
-                    expected = twin.randrange(path_count) + 1
-                    explored += 1
+    # cohorts of 4, 1 and 115 agents draw in ascending window order from
+    # the one stream: a cohort of k its explorers X ~ Bin(k, epsilon),
+    # spread over the paths in path order by Bin(left, 1 / paths left),
+    # the singleton as one agent; the exploiters take path 1 (lowest base
+    # RTT), and each path's load adds the cohorts' windows in that order
+    def test_cohorts_draw_in_ascending_order_from_one_stream(self):
+        epsilon, seed = 0.5, 5
+        cfg = config("epsilon_greedy", agents=120, seed=seed, epsilon=epsilon)
+        path_count = cfg.topology.path_count
+        cohorts = [(1.0, 4), (1.1, 1), (2.0, 115)]
+        for order in (cohorts, cohorts[::-1]):
+            agents = [AgentState(agent_id=0, cwnd=cwnd, count=count) for cwnd, count in order]
+            if order is not cohorts:
+                # step() takes the cohorts in run()'s ascending order
+                agents.sort(key=lambda agent: agent.cwnd)
+            rng, twin = random.Random(str(seed)), random.Random(str(seed))
+            record = mpsim.engine.step(agents, None, cfg, None, rng)
+            loads = [0.0] * path_count
+            for cwnd, count in cohorts:
+                shares = [0] * path_count
+                if count == 1:
+                    explored = twin.random() < epsilon
+                    shares[twin.randrange(path_count) if explored else 0] = 1
                 else:
-                    expected = min_rtt_path
-                    exploited += 1
-                assert agent.chosen_path == expected
-                assert agent.rng.getstate() == twin.getstate()
-            rtts = prev.inst_rtts
-        assert exploited > 0 and explored > 0
+                    explorers = left = binomialvariate(twin.random, count, epsilon)
+                    for j in range(path_count):
+                        shares[j] = binomialvariate(twin.random, left, 1.0 / (path_count - j))
+                        left -= shares[j]
+                    shares[0] += count - explorers
+                    assert 0 < explorers < count
+                for j, share in enumerate(shares):
+                    for _ in range(share):
+                        loads[j] += cwnd
+            assert record.loads == tuple(loads)
+            assert rng.getstate() == twin.getstate()
+            assert sum(agent.count for agent in agents) == 120
 
 
 class TestEpsilonPathLists:
@@ -669,9 +771,8 @@ class TestEpsilonPathLists:
         cfg = SimConfig(topology=default_topology(), strategy=StrategyKind("epsilon_greedy"),
                         num_agents=500, aimd=aimd, engine=EngineParams(steps=60))
         assert oracle_agrees(run(cfg))
-        agents = [AgentState(agent_id=i, cwnd=aimd.initial_cwnd, rng=random.Random(f"0:{i}"))
-                  for i in range(cfg.num_agents)]
-        record = mpsim.engine.step(agents, None, cfg)
+        agents = [AgentState(agent_id=0, cwnd=aimd.initial_cwnd, count=cfg.num_agents)]
+        record = mpsim.engine.step(agents, None, cfg, None, random.Random("0"))
         assert record.overflows[0] > 0.0
         on_path_one = [agent.cwnd for agent in agents if agent.chosen_path == 1]
         assert on_path_one and all(cwnd == aimd.cwnd_floor for cwnd in on_path_one)
@@ -707,6 +808,28 @@ class TestOneUpdateLoop:
         assert oracle_agrees(telemetry)
 
 
+class TestRecords:
+    # step() builds each StepRecord by setting its fields itself, past the
+    # frozen dataclass's __init__: a field added to StepRecord must fail
+    # here
+    def test_record_equals_the_constructed_record(self):
+        fields = (7, (1.0, 2.5), (0.0, 0.5), (20.0, 50.0))
+        record = _record(*fields)
+        built = StepRecord(*fields)
+        assert record == built and hash(record) == hash(built)
+        assert vars(record) == vars(built)
+        assert [field.name for field in dataclasses.fields(StepRecord)] == list(vars(record))
+        assert dataclasses.replace(record, step=8) == StepRecord(8, *fields[1:])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.step = 9
+
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_run_records_equal_the_constructed_records(self, strategy):
+        for record in run(config(strategy, agents=30, steps=40)).records:
+            assert vars(record) == vars(StepRecord(record.step, record.loads, record.overflows,
+                                                   record.inst_rtts))
+
+
 class TestPathViews:
     # _views builds each PathView with tuple.__new__, past the
     # NamedTuple's constructor and its check of the field count: a field
@@ -714,9 +837,8 @@ class TestPathViews:
     def test_views_equal_the_constructed_views(self):
         cfg = config("epsilon_greedy", agents=50)
         paths = cfg.topology.paths
-        agents = [AgentState(agent_id=i, cwnd=1.0, rng=random.Random(f"0:{i}"))
-                  for i in range(cfg.num_agents)]
-        record = mpsim.engine.step(agents, None, cfg)
+        agents = [AgentState(agent_id=0, cwnd=1.0, count=cfg.num_agents)]
+        record = mpsim.engine.step(agents, None, cfg, None, random.Random("0"))
         assert any(record.loads) and any(path.attributes for path in paths)
         cases = [
             (None, [PathView(path.id, path.capacity_mbps, path.base_rtt_ms, 0.0, path.attributes)
@@ -730,3 +852,145 @@ class TestPathViews:
             assert all(type(view) is PathView and len(view) == len(PathView._fields)
                        for view in views)
             assert [view._asdict() for view in views] == [view._asdict() for view in expected]
+
+
+def chi2_sf(stat, dof):
+    """P(X >= stat) for X chi-square with dof degrees of freedom: the
+    regularized upper incomplete gamma Q(dof / 2, stat / 2), by its power
+    series below stat / 2 = dof / 2 + 1 and by its continued fraction
+    above (Press et al., Numerical Recipes, 2nd ed., sec. 6.2)."""
+    a, x = dof / 2, stat / 2
+    if x <= 0:
+        return 1.0
+    log_prefix = a * math.log(x) - x - math.lgamma(a)
+    if x < a + 1:
+        term = total = 1 / a
+        n = 1
+        while term > 1e-17 * total:
+            term *= x / (a + n)
+            total += term
+            n += 1
+        return 1.0 - math.exp(log_prefix) * total
+    tiny = 1e-300
+    b = x + 1 - a
+    c, d = 1 / tiny, 1 / b
+    fraction = d
+    for i in range(1, 1000):
+        an = -i * (i - a)
+        b += 2
+        d = an * d + b
+        d = 1 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        fraction *= d * c
+        if abs(d * c - 1) < 1e-16:
+            break
+    return math.exp(log_prefix) * fraction
+
+
+def chi2_pvalue(observed, expected_probs):
+    """Pearson's test of the counts `observed` (a dict outcome -> count)
+    against the exact probabilities `expected_probs` (outcome -> p, summing
+    to 1): outcomes expected fewer than 5 times pool into one cell."""
+    trials = sum(observed.values())
+    cells, pooled_p, pooled_n = [], 0.0, 0
+    for outcome, p in expected_probs.items():
+        if p * trials >= 5:
+            cells.append((observed.get(outcome, 0), p * trials))
+        else:
+            pooled_p += p
+            pooled_n += observed.get(outcome, 0)
+    assert set(observed) <= set(expected_probs)
+    if pooled_p * trials >= 5:
+        cells.append((pooled_n, pooled_p * trials))
+    elif cells:
+        count, mean = cells.pop()
+        cells.append((count + pooled_n, mean + pooled_p * trials))
+    stat = sum((count - mean) ** 2 / mean for count, mean in cells)
+    return chi2_sf(stat, len(cells) - 1)
+
+
+def binomial_pmf(n, p):
+    return {k: math.comb(n, k) * p ** k * (1 - p) ** (n - k) for k in range(n + 1)}
+
+
+class TestExactDraws:
+    # Pearson chi-square tests at fixed seeds against exact laws. Each of
+    # the 10 p-values below must exceed 0.001: a correct sampler fails
+    # any one with probability 0.001 over the choice of seed, so all of
+    # them at once for under 1% of seed choices, while a sampler off by a
+    # few percent in a well-filled cell fails
+    DRAWS = 60_000
+    STEPS = 20_000
+
+    def test_chi2_sf_matches_known_quantiles(self):
+        # upper 0.1% and 50% points of the chi-square law (standard
+        # tables), on both sides of the series' range, and a far tail
+        for stat, dof in ((10.828, 1), (29.588, 10), (59.703, 30), (86.661, 50)):
+            assert chi2_sf(stat, dof) == pytest.approx(0.001, rel=2e-3)
+        for stat, dof in ((0.45494, 1), (9.3418, 10), (29.336, 30)):
+            assert chi2_sf(stat, dof) == pytest.approx(0.5, rel=1e-4)
+        assert 0.0 <= chi2_sf(5000.0, 40) < 1e-300
+
+    # n = 1 (one uniform), n p < 10 (Devroye's geometric method), n p >= 10
+    # (BTRS), and p > 0.5 (the symmetry) on both methods
+    @pytest.mark.parametrize("n, p, seed", [
+        (1, 0.3, "n1"), (30, 0.1, "geometric"), (400, 0.2, "btrs"),
+        (25, 0.85, "mirror-geometric"), (300, 0.7, "mirror-btrs"),
+    ])
+    def test_binomialvariate_matches_the_pmf(self, n, p, seed):
+        uniform = random.Random(seed).random
+        observed = {}
+        for _ in range(self.DRAWS):
+            x = binomialvariate(uniform, n, p)
+            observed[x] = observed.get(x, 0) + 1
+        assert chi2_pvalue(observed, binomial_pmf(n, p)) > 0.001
+
+    def test_binomialvariate_edges_draw_nothing(self):
+        rng = random.Random("edges")
+        state = rng.getstate()
+        assert binomialvariate(rng.random, 0, 0.4) == 0
+        assert binomialvariate(rng.random, 7, 0.0) == 0
+        assert binomialvariate(rng.random, 7, 1.0) == 7
+        assert rng.getstate() == state
+
+    # one step of one cohort of k agents at window 1.0: each path's load is
+    # its agent count, which must be Multinomial(k; 1 - eps + eps / P on
+    # the exploited path 1, eps / P on the others)
+    @pytest.mark.parametrize("agents, epsilon, seed", [(8, 0.6, "small"), (5, 0.2, "rare")])
+    def test_cohort_counts_are_multinomial(self, agents, epsilon, seed):
+        cfg = config("epsilon_greedy", agents=agents, epsilon=epsilon)
+        path_count = cfg.topology.path_count
+        probs = [1 - epsilon + epsilon / path_count] + [epsilon / path_count] * (path_count - 1)
+        law = {}
+        for counts in itertools.product(range(agents + 1), repeat=path_count):
+            if sum(counts) == agents:
+                ways = math.factorial(agents)
+                for count, prob in zip(counts, probs):
+                    ways = ways / math.factorial(count) * prob ** count
+                law[counts] = ways
+        rng = random.Random(seed)
+        observed = {}
+        for _ in range(self.STEPS):
+            record = mpsim.engine.step([AgentState(agent_id=0, cwnd=1.0, count=agents)],
+                                       None, cfg, None, rng)
+            counts = tuple(int(load) for load in record.loads)
+            observed[counts] = observed.get(counts, 0) + 1
+        assert chi2_pvalue(observed, law) > 0.001
+
+    # a cohort large enough that its explorers and their split use BTRS:
+    # each path's count is Bin(k, its probability)
+    def test_large_cohort_path_counts_are_binomial(self):
+        agents, epsilon = 300, 0.3
+        cfg = config("epsilon_greedy", agents=agents, epsilon=epsilon)
+        path_count = cfg.topology.path_count
+        rng = random.Random("large")
+        observed = [{} for _ in range(path_count)]
+        for _ in range(self.STEPS // 4):
+            record = mpsim.engine.step([AgentState(agent_id=0, cwnd=1.0, count=agents)],
+                                       None, cfg, None, rng)
+            for tally, load in zip(observed, record.loads):
+                tally[int(load)] = tally.get(int(load), 0) + 1
+        for j, tally in enumerate(observed):
+            prob = (1 - epsilon if j == 0 else 0.0) + epsilon / path_count
+            assert chi2_pvalue(tally, binomial_pmf(agents, prob)) > 0.001
