@@ -83,7 +83,6 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .strategy import (
     PathView,
@@ -355,7 +354,7 @@ def binomialvariate(random, n: int, p: float) -> int:
 # builds a PathView from its five fields without the NamedTuple's
 # Python-level __new__
 _new_view = tuple.__new__
-_by_cwnd = attrgetter("cwnd")
+_by_cwnd = operator.attrgetter("cwnd")
 
 
 def _views(paths: tuple[PathSpec, ...], prev: StepRecord | None) -> list[PathView]:
