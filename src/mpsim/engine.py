@@ -7,46 +7,45 @@ the senders on that path, and every agent's congestion window reacts
 otherwise). Telemetry records per-step per-path load/overflow/RTT plus
 the final windows; the metrics layer consumes nothing else.
 
-A step computes once whatever is the same for every agent: the choice
-of the shared-choice strategies, epsilon-greedy's exploit target, and,
-in one pass over the paths, each path's overflow, RTT, loss flag and
-loss-free window increment. `_SHARED_CHOICE` holds one rule per
-shared-choice strategy; a rule builds the path views only if its
-selector reads them. The loops over states only pick a path, put the
-state on that path's list of senders and add the window to that path's
-load in agent order (the same float sum as one addition per agent),
-with no function call per state beyond the appends and epsilon-greedy's
-draws. The path pass then applies each path's outcome to its list, so
-the AIMD update is one loop for every strategy. On a lost path it skips
-the windows already at the floor: beta * floor < floor, so the clamp
-would write the floor back.
+A step computes once whatever is the same for every agent: the path of
+the strategy's rule in `_SHARED_CHOICE` and, in one pass over the
+paths, each path's overflow, RTT, loss flag and loss-free window
+increment. A rule builds the path views only if its selector reads
+them. The loops over states only pick a path, put the state on that
+path's list of senders and add the window to that path's load in agent
+order (the same float sum as one addition per agent), with no function
+call per state beyond the appends and epsilon-greedy's draws. The path
+pass then applies each path's outcome to its list, so the AIMD update
+is one loop for every strategy. On a lost path it skips the windows
+already at the floor: beta * floor < floor, so the clamp would write
+the floor back.
 
-Cohorts: run() lays the N agents out as S states, state k standing for
-agents k, k + S, k + 2S, ... (its `count`), which share a window and a
-choice. Agents that start equal and always choose alike stay identical.
-A shared-choice strategy picks a function of the shared path view and
-the step index t: min-RTT, min-load, attribute-aware and BLEST read the
-view; epsilon-greedy at epsilon 0 never explores, so it is min-RTT; and
-round robin's cursors all start at 0, so every agent picks path
-1 + t mod P. run() steps those as one state (S = 1). Weighted round
-robin staggers agent i's cursor to slot i mod L of its L-slot schedule
-and advances it once a step, so it picks slot (i + t) mod L and the
-agents of one cursor class i mod L stay identical: S = min(N, L).
-No state holds a cursor; it follows from `agent_id` and the step
-index, which step() reads off the previous record. Agent order visits
-the states round by round, so a path's load is the sequential float sum
-over that periodic sequence, bit for bit the per-agent sum;
-`_repeated_add` computes a run of equal windows in O(log count) instead
-of O(count).
+Layouts: run() lays the N agents out as S states, each standing for
+`count` agents that share a window and a choice; agents that start
+equal and always choose alike stay identical. Weighted round robin
+staggers agent i's cursor to slot i mod L of its L-slot schedule and
+advances it once a step, so it picks slot (i + t) mod L at step t and
+the agents of one cursor class stay identical: S = min(N, L), state k
+standing for agents k, k + S, k + 2S, ... No state holds a cursor; it
+follows from the state's index in the list and the step index, which
+step() reads off the previous record. Agent order visits the states
+round by round, so a path's load is the sequential float sum over that
+periodic sequence, bit for bit the per-agent sum; `_repeated_add`
+computes a run of equal windows in O(log count) instead of O(count).
 
-Epsilon-greedy at epsilon > 0 lets agents choose apart. Agents with
-equal windows are exchangeable, so run() keeps its agents as cohorts:
-the distinct windows with their agent counts, in ascending window
-order, all drawing from one stream per run. Each step a cohort of k
-agents draws X ~ Bin(k, epsilon) explorers, exact in distribution
+Every other strategy keeps its agents as cohorts: the distinct windows
+with their agent counts, in ascending window order (agents with equal
+windows are exchangeable). Its rule gives the path every agent takes,
+a function of the shared path view and the step index t: min-RTT,
+min-load, attribute-aware and BLEST read the view, and round robin's
+cursors all start at 0, so every agent picks path 1 + t mod P; their N
+agents stay one cohort. Epsilon-greedy's rule is min-RTT's, the path
+its exploiters take; at epsilon > 0 some agents explore, all drawing
+from one stream per run. Each step a cohort of k agents draws
+X ~ Bin(k, epsilon) explorers, exact in distribution
 (`binomialvariate`), and spreads them over the P paths in path order
 by Bin(left, 1 / (P - j)), the sequential form of a multinomial with
-equal cells; its k - X exploiters take the min-RTT path. A cohort of
+equal cells; its k - X exploiters take the rule's path. A cohort of
 one draws as a single agent: one uniform against epsilon, then the
 explored index. So the counts on each path have exactly the law of k
 independent agents' choices. Each path's load adds, cohort by cohort,
@@ -90,7 +89,6 @@ from .strategy import (
     select_attribute_aware,
     select_blest,
     select_min_load,
-    select_min_rtt,
     wrr_schedule,
 )
 from .topology import HIGH_COST_TAG, PathSpec, Topology
@@ -178,18 +176,16 @@ class AgentState:
     the step, a choice.
 
     step() adds the window to the chosen path's load once per agent and
-    applies one AIMD update to the state, whatever its count. run()
-    builds one state of count N for the shared-choice strategies and one
-    state per cursor class for weighted round robin, standing for agents
-    `agent_id`, `agent_id` + S, `agent_id` + 2S, ... of its S states;
-    its cursor is `agent_id` plus the step index. Epsilon-greedy at
-    epsilon > 0 keeps one state per distinct window, a cohort, in
-    ascending window order (`agent_id` unused): step() splits each
-    cohort by its draws into one state per chosen path and merges the
-    states whose windows come out equal.
+    applies one AIMD update to the state, whatever its count. For
+    weighted round robin run() builds one state per cursor class: state
+    k of its S states stands for agents k, k + S, k + 2S, ..., and its
+    cursor is k plus the step index. For every other strategy it builds
+    one cohort of count N. Epsilon-greedy at epsilon > 0 keeps one
+    cohort per distinct window, in ascending window order: step() splits
+    each cohort by its draws into one state per chosen path and merges
+    the states whose windows come out equal.
     """
 
-    agent_id: int
     cwnd: float
     chosen_path: int | None = None
     count: int = 1
@@ -262,17 +258,14 @@ def _repeated_add(total: float, x: float, count: int) -> float:
     crossed a binade: that one rounds on the lower binade's grid, and the
     parity it leaves is not yet settled.
     """
-    if count < _EXACT_TEST_FROM:
-        for _ in range(count):
-            total += x
-        return total
-    exact = total + count * x
-    unit = math.ulp(exact)
-    if x % unit == 0.0 and total % unit == 0.0:
-        # x and total are multiples of exact's ulp: so are count * x and
-        # every partial sum, all below 2**53 units, hence floats, so each
-        # addition is exact
-        return exact
+    if count >= _EXACT_TEST_FROM:
+        exact = total + count * x
+        unit = math.ulp(exact)
+        if x % unit == 0.0 and total % unit == 0.0:
+            # x and total are multiples of exact's ulp: so are count * x and
+            # every partial sum, all below 2**53 units, hence floats, so
+            # each addition is exact
+            return exact
     if count < _PLAIN_LOOP_BELOW:
         for _ in range(count):
             total += x
@@ -366,13 +359,21 @@ def _views(paths: tuple[PathSpec, ...], prev: StepRecord | None) -> list[PathVie
             for path, rtt, load in zip(paths, prev.inst_rtts, prev.loads)]
 
 
-# the strategies whose agents all choose alike: name -> rule(config,
-# previous record, step index) giving the one path of the step. The
-# selectors are looked up as module globals on every call, where
-# perfbench's counters wrap them. Round robin's cursors all start at 0
-# and advance once a step
+def _min_rtt(config: SimConfig, prev: StepRecord | None, t: int) -> int:
+    """select_min_rtt of the step's views: index() finds the first
+    minimum RTT, the lowest path id among ties."""
+    rtts = prev.inst_rtts if prev else [path.base_rtt_ms for path in config.topology.paths]
+    return rtts.index(min(rtts)) + 1
+
+
+# the strategies stepped as cohorts: name -> rule(config, previous
+# record, step index) giving the path every agent takes, under
+# epsilon-greedy the path its exploiters take. The selectors are looked
+# up as module globals on every call, where perfbench's counters wrap
+# them. Round robin's cursors all start at 0 and advance once a step
 _SHARED_CHOICE = {
-    "min_rtt": lambda config, prev, t: select_min_rtt(_views(config.topology.paths, prev)),
+    "min_rtt": _min_rtt,
+    "epsilon_greedy": _min_rtt,
     "min_load": lambda config, prev, t: select_min_load(_views(config.topology.paths, prev)),
     "attribute_aware": lambda config, prev, t: select_attribute_aware(
         _views(config.topology.paths, prev), config.forbidden_tags),
@@ -380,15 +381,6 @@ _SHARED_CHOICE = {
                                                  config.strategy.filter_factor),
     "round_robin": lambda config, prev, t: 1 + t % len(config.topology.paths),
 }
-
-
-def _shared_choice(strategy: StrategyKind):
-    """The strategy's rule in _SHARED_CHOICE, or None where its agents
-    choose apart. Epsilon-greedy at epsilon 0 never explores: it is
-    min-RTT for every agent."""
-    if strategy.name == "epsilon_greedy" and not strategy.epsilon:
-        return _SHARED_CHOICE["min_rtt"]
-    return _SHARED_CHOICE.get(strategy.name)
 
 
 def _later_rounds(loads: list[float], agents: list[AgentState], num_agents: int,
@@ -430,9 +422,10 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
 
     `agents` holds the states of all `config.num_agents` agents in
     run()'s layout; `schedule` is weighted round robin's wrr_schedule and
-    `rng` the run's stream that epsilon-greedy draws from. Epsilon-
-    greedy's list ends the step as the new cohorts. The step index
-    follows `prev_record`'s."""
+    `rng` the run's stream that epsilon-greedy at epsilon > 0 draws from.
+    Each is required by its strategy and refused by every other one.
+    Epsilon-greedy's list ends the step as the new cohorts. The step
+    index follows `prev_record`'s."""
     t = 0 if prev_record is None else prev_record.step + 1
     strategy = config.strategy
     aimd = config.aimd
@@ -440,107 +433,105 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
     paths = config.topology.paths
     loads = [0.0] * len(paths)
 
+    name = strategy.name
+    if (rng is not None) != (name == "epsilon_greedy" and strategy.epsilon > 0):
+        raise ValueError("epsilon_greedy needs the run's rng" if rng is None
+                         else "only epsilon_greedy at epsilon > 0 draws from an rng")
     # each path's states in agent order (path ids run 1..P in topology
     # order); the path pass applies the path's outcome to them
-    rule = None if rng else _shared_choice(strategy)
-    if rule:
-        choice = rule(config, prev_record, t)
-        # the states hold equal windows (they start equal and choose
-        # alike), so adding them state by state is the agent-order sum
-        total = 0.0
-        for agent in agents:
-            agent.chosen_path = choice
-            total = _repeated_add(total, agent.cwnd * mbps_per_cwnd, agent.count)
-        loads[choice - 1] = total
-        members = [()] * len(paths)
-        members[choice - 1] = agents
-    elif rng:
-        # min-RTT, ties to the lowest path id: index() finds the first minimum
-        rtts = prev_record.inst_rtts if prev_record else [path.base_rtt_ms for path in paths]
-        exploit = rtts.index(min(rtts))
-        exploit_id = exploit + 1
-        epsilon, path_count = strategy.epsilon, len(paths)
-        uniform, getrandbits = rng.random, rng.getrandbits
-        # a singleton's explored index is rng.randrange(path_count), drawn
-        # as CPython's Random._randbelow_with_getrandbits draws it (same
-        # value, same rng state) without randrange's argument checks
-        bits = path_count.bit_length()
-        # a loop, not a comprehension: CPython 3.11 calls a comprehension
-        # as a function, about 0.2 us a step here
-        members = []
-        for _ in paths:
-            members.append([])
-        add_exploiter = members[exploit].append
-        born = []
-        # cohort by cohort in ascending window order, so each path's load
-        # adds its cohorts' windows in that order
-        # the exploited path's load, to which most states add, sums in a local
-        exploit_load = 0.0
-        for agent in agents:
-            if agent.count == 1:
-                if uniform() < epsilon:
-                    path = getrandbits(bits)
-                    while path >= path_count:
+    if name == "weighted_round_robin":
+        if not schedule:
+            raise ValueError("weighted_round_robin needs its non-empty wrr_schedule")
+        # state k's cursor starts at slot k and advances once a step
+        # through the smooth schedule
+        period = len(schedule)
+        members = [[] for _ in paths]
+        for k, agent in enumerate(agents):
+            path = schedule[(k + t) % period]
+            agent.chosen_path = path
+            members[path - 1].append(agent)
+            loads[path - 1] += agent.cwnd * mbps_per_cwnd
+        if len(agents) < config.num_agents:
+            _later_rounds(loads, agents, config.num_agents, mbps_per_cwnd)
+    else:
+        if schedule is not None:
+            raise ValueError("only weighted_round_robin takes a wrr_schedule")
+        choice = _SHARED_CHOICE[name](config, prev_record, t)
+        if rng is None:
+            # cohorts that never draw: all take the rule's path, in cohort order
+            total = 0.0
+            for agent in agents:
+                agent.chosen_path = choice
+                total = _repeated_add(total, agent.cwnd * mbps_per_cwnd, agent.count)
+            loads[choice - 1] = total
+            members = [()] * len(paths)
+            members[choice - 1] = agents
+        else:
+            # the rule's path is the one the exploiters take
+            exploit = choice - 1
+            epsilon, path_count = strategy.epsilon, len(paths)
+            uniform, getrandbits = rng.random, rng.getrandbits
+            # a singleton's explored index is rng.randrange(path_count), drawn
+            # as CPython's Random._randbelow_with_getrandbits draws it (same
+            # value, same rng state) without randrange's argument checks
+            bits = path_count.bit_length()
+            # a loop, not a comprehension: CPython 3.11 calls a comprehension
+            # as a function, about 0.2 us a step here
+            members = []
+            for _ in paths:
+                members.append([])
+            add_exploiter = members[exploit].append
+            born = []
+            # cohort by cohort in ascending window order, so each path's load
+            # adds its cohorts' windows in that order
+            # the exploited path's load, to which most states add, sums in a local
+            exploit_load = 0.0
+            for agent in agents:
+                if agent.count == 1:
+                    path = exploit
+                    if uniform() < epsilon:
                         path = getrandbits(bits)
+                        while path >= path_count:
+                            path = getrandbits(bits)
                     agent.chosen_path = path + 1
                     members[path].append(agent)
                     if path == exploit:
                         exploit_load += agent.cwnd * mbps_per_cwnd
                     else:
                         loads[path] += agent.cwnd * mbps_per_cwnd
-                else:
-                    agent.chosen_path = exploit_id
-                    add_exploiter(agent)
-                    exploit_load += agent.cwnd * mbps_per_cwnd
-                continue
-            # Bin(count, epsilon) explorers, spread over the paths in path
-            # order by Bin(left, 1 / paths left), a multinomial of equal
-            # cells (p = 1 on the last path takes the rest); the exploiters
-            # join the min-RTT path's share
-            count = agent.count
-            load = agent.cwnd * mbps_per_cwnd
-            explorers = left = binomialvariate(uniform, count, epsilon)
-            if not explorers:
-                agent.chosen_path = exploit_id
-                add_exploiter(agent)
-                exploit_load = _repeated_add(exploit_load, load, count)
-                continue
-            state = agent
-            for path in range(path_count):
-                share = left and binomialvariate(uniform, left, 1.0 / (path_count - path))
-                left -= share
-                if path == exploit:
-                    share += count - explorers
-                if not share:
                     continue
-                if state is None:
-                    state = AgentState(0, agent.cwnd, path + 1, share)
-                    born.append(state)
-                else:
-                    state.chosen_path, state.count = path + 1, share
-                members[path].append(state)
-                if path == exploit:
-                    exploit_load = _repeated_add(exploit_load, load, share)
-                else:
-                    loads[path] = _repeated_add(loads[path], load, share)
-                state = None
-        loads[exploit] = exploit_load
-    elif schedule:
-        # weighted round robin: state k's cursor starts at slot k and
-        # advances once a step through the smooth schedule
-        period = len(schedule)
-        members = [[] for _ in paths]
-        for agent in agents:
-            path = schedule[(agent.agent_id + t) % period]
-            agent.chosen_path = path
-            members[path - 1].append(agent)
-            loads[path - 1] += agent.cwnd * mbps_per_cwnd
-        if len(agents) < config.num_agents:
-            _later_rounds(loads, agents, config.num_agents, mbps_per_cwnd)
-    elif strategy.name == "epsilon_greedy":
-        raise ValueError("epsilon_greedy needs the run's rng")
-    else:
-        raise ValueError("weighted_round_robin needs its non-empty wrr_schedule")
+                # Bin(count, epsilon) explorers, spread over the paths in path
+                # order by Bin(left, 1 / paths left), a multinomial of equal
+                # cells (p = 1 on the last path takes the rest); the exploiters
+                # join the min-RTT path's share
+                count = agent.count
+                load = agent.cwnd * mbps_per_cwnd
+                explorers = left = binomialvariate(uniform, count, epsilon)
+                if not explorers:
+                    agent.chosen_path = choice
+                    add_exploiter(agent)
+                    exploit_load = _repeated_add(exploit_load, load, count)
+                    continue
+                state = agent
+                for path in range(path_count):
+                    share = left and binomialvariate(uniform, left, 1.0 / (path_count - path))
+                    left -= share
+                    if path == exploit:
+                        share += count - explorers
+                    if not share:
+                        continue
+                    if state is None:
+                        state = AgentState(agent.cwnd, path + 1, share)
+                        born.append(state)
+                    else:
+                        state.chosen_path, state.count = path + 1, share
+                    members[path].append(state)
+                    if path == exploit:
+                        exploit_load = _repeated_add(exploit_load, load, share)
+                    else:
+                        loads[path] = _repeated_add(loads[path], load, share)
+                    state = None
+            loads[exploit] = exploit_load
 
     # one pass over the paths, which also applies the AIMD update. The
     # RTT is the base RTT plus a queueing term above capacity, with max
@@ -615,14 +606,14 @@ def run(config: SimConfig) -> Telemetry:
         schedule = wrr_schedule(config.topology.capacities())
         classes = min(agent_count, len(schedule))
         rounds, rest = divmod(agent_count, classes)
-        agents = [AgentState(agent_id=k, cwnd=initial_cwnd, count=rounds + (k < rest))
+        agents = [AgentState(cwnd=initial_cwnd, count=rounds + (k < rest))
                   for k in range(classes)]
     else:
         # one state of all N agents, which epsilon-greedy at epsilon > 0
         # takes as its first cohort, with one stream for the run seeded
         # from the seed's string: one SHA-512, and -s seeds apart from s
-        agents = [AgentState(agent_id=0, cwnd=initial_cwnd, count=agent_count)]
-        if not _shared_choice(strategy):
+        agents = [AgentState(cwnd=initial_cwnd, count=agent_count)]
+        if strategy.name == "epsilon_greedy" and strategy.epsilon > 0:
             rng = random.Random(str(config.seed))
 
     # Brent's mark: the state after step `mark`, moved to the current step

@@ -24,7 +24,7 @@ from mpsim import (
 )
 from mpsim.engine import (_PLAIN_LOOP_BELOW, StepRecord, _record, _repeated_add, _views,
                           binomialvariate)
-from mpsim.strategy import PathView
+from mpsim.strategy import PathView, select_min_rtt
 from reference import apportion_loss, oracle_agrees, rtt_instantaneous, update_cwnd
 
 AIMD = AimdParams()
@@ -404,12 +404,30 @@ class TestStepContract:
         else:
             assert calls == list(range(steps))
 
-    def test_shared_choice_table_and_per_agent_layouts_cover_every_name(self):
-        # step() reaches weighted round robin's branch by elimination
-        shared = set(mpsim.engine._SHARED_CHOICE)
-        per_agent = {"epsilon_greedy", "weighted_round_robin"}
-        assert not shared & per_agent
-        assert shared | per_agent == set(STRATEGY_NAMES)
+    def test_shared_choice_table_covers_every_name_but_weighted_round_robin(self):
+        # step() steps every strategy in the table as cohorts, the rule
+        # giving the path every agent takes; epsilon-greedy's exploiters
+        # take min-RTT's
+        table = mpsim.engine._SHARED_CHOICE
+        assert set(table) == set(STRATEGY_NAMES) - {"weighted_round_robin"}
+        assert table["epsilon_greedy"] is table["min_rtt"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), path_count=st.integers(1, 6))
+    def test_min_rtt_rule_is_select_min_rtt(self, data, path_count):
+        # RTTs drawn from a few values, so that ties are common; the base
+        # RTTs rank the paths at step 0, the previous record's after it
+        def column(values):
+            return data.draw(st.tuples(*[values] * path_count))
+
+        rtt = st.sampled_from([15.0, 20.0, 20.5, 1e3])
+        base, rtts, loads = column(rtt), column(rtt), column(st.floats(0.0, 1e4))
+        topology = Topology("drawn", tuple(PathSpec(i + 1, 50.0, b) for i, b in enumerate(base)))
+        cfg = config(topology=topology)
+        prev = StepRecord(7, loads, (0.0,) * path_count, rtts)
+        rule = mpsim.engine._SHARED_CHOICE["min_rtt"]
+        assert rule(cfg, None, 0) == select_min_rtt(_views(topology.paths, None))
+        assert rule(cfg, prev, 8) == select_min_rtt(_views(topology.paths, prev))
 
     @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
     def test_step_by_hand_reproduces_run(self, strategy):
@@ -419,15 +437,15 @@ class TestStepContract:
         schedule = rng = None
         if strategy == "epsilon_greedy":
             # one cohort of all 50 agents, and the run's stream
-            agents = [AgentState(agent_id=0, cwnd=1.0, count=50)]
+            agents = [AgentState(cwnd=1.0, count=50)]
             rng = random.Random("4")
         elif strategy == "weighted_round_robin":
             schedule = wrr_schedule(cfg.topology.capacities())
             # 50 agents over 23 cursor classes: two full rounds, then 4 more
-            agents = [AgentState(agent_id=k, cwnd=1.0, count=3 if k < 4 else 2)
+            agents = [AgentState(cwnd=1.0, count=3 if k < 4 else 2)
                       for k in range(len(schedule))]
         else:
-            agents = [AgentState(agent_id=0, cwnd=1.0, count=50)]
+            agents = [AgentState(cwnd=1.0, count=50)]
         records = []
         prev = None
         for _ in range(cfg.engine.steps):
@@ -633,23 +651,47 @@ class TestCohortStates:
         layouts = []
 
         def recording_step(agents, *args, **kwargs):
-            layouts.append([(agent.agent_id, agent.count) for agent in agents])
+            layouts.append([agent.count for agent in agents])
             return real_step(agents, *args, **kwargs)
 
         monkeypatch.setattr(mpsim.engine, "step", recording_step)
         telemetry = run(config(strategy, agents=agents, steps=3, epsilon=epsilon))
-        assert layouts == [list(enumerate(expected))] * 3
+        assert layouts == [expected] * 3
         assert sum(expected) == agents == len(telemetry.final_cwnds)
 
     def test_epsilon_greedy_step_needs_the_runs_rng(self):
         cfg = config("epsilon_greedy", agents=2, steps=1)
-        agents = [AgentState(agent_id=0, cwnd=1.0, count=2)]
+        agents = [AgentState(cwnd=1.0, count=2)]
         with pytest.raises(ValueError, match="the run's rng"):
             mpsim.engine.step(agents, None, cfg)
 
+    # an rng only for epsilon-greedy at epsilon > 0, a schedule only for
+    # weighted round robin: min_load with an rng would step as
+    # epsilon-greedy around min-RTT, and epsilon-greedy with a schedule
+    # and no rng as weighted round robin
+    @pytest.mark.parametrize("strategy, epsilon, with_schedule, with_rng, match", [
+        ("min_load", 0.1, False, True, "only epsilon_greedy at epsilon > 0"),
+        ("epsilon_greedy", 0.0, False, True, "only epsilon_greedy at epsilon > 0"),
+        ("weighted_round_robin", 0.1, True, True, "only epsilon_greedy at epsilon > 0"),
+        ("epsilon_greedy", 0.3, True, False, "the run's rng"),
+        ("min_rtt", 0.1, True, False, "only weighted_round_robin"),
+        ("epsilon_greedy", 0.3, True, True, "only weighted_round_robin"),
+    ])
+    def test_step_refuses_inputs_its_strategy_does_not_use(self, strategy, epsilon,
+                                                           with_schedule, with_rng, match):
+        cfg = config(strategy, agents=48, epsilon=epsilon)
+        schedule = wrr_schedule(cfg.topology.capacities()) if with_schedule else None
+        rng = random.Random("0") if with_rng else None
+        state = rng and rng.getstate()
+        agents = [AgentState(cwnd=1.0, count=48)]
+        with pytest.raises(ValueError, match=match):
+            mpsim.engine.step(agents, None, cfg, schedule, rng)
+        assert agents == [AgentState(cwnd=1.0, count=48)]
+        assert state == (rng and rng.getstate())
+
     def test_weighted_round_robin_step_needs_its_schedule(self):
         cfg = config("weighted_round_robin", agents=2, steps=1)
-        agents = [AgentState(agent_id=k, cwnd=1.0) for k in range(2)]
+        agents = [AgentState(cwnd=1.0) for _ in range(2)]
         for schedule in (None, ()):
             with pytest.raises(ValueError, match="wrr_schedule"):
                 mpsim.engine.step(agents, None, cfg, schedule)
@@ -712,7 +754,7 @@ class TestExploreDraw:
         for seed in range(4):
             cfg = config("epsilon_greedy", agents=3, seed=seed, epsilon=1.0, topology=topology)
             # three singleton cohorts whose windows stay apart for 6 steps
-            agents = [AgentState(agent_id=0, cwnd=cwnd) for cwnd in (1.0, 1e3, 1e6)]
+            agents = [AgentState(cwnd=cwnd) for cwnd in (1.0, 1e3, 1e6)]
             rng, twin = random.Random(str(seed)), random.Random(str(seed))
             prev = None
             for _ in range(6):
@@ -735,7 +777,7 @@ class TestExploreDraw:
         path_count = cfg.topology.path_count
         cohorts = [(1.0, 4), (1.1, 1), (2.0, 115)]
         for order in (cohorts, cohorts[::-1]):
-            agents = [AgentState(agent_id=0, cwnd=cwnd, count=count) for cwnd, count in order]
+            agents = [AgentState(cwnd=cwnd, count=count) for cwnd, count in order]
             if order is not cohorts:
                 # step() takes the cohorts in run()'s ascending order
                 agents.sort(key=lambda agent: agent.cwnd)
@@ -771,7 +813,7 @@ class TestEpsilonPathLists:
         cfg = SimConfig(topology=default_topology(), strategy=StrategyKind("epsilon_greedy"),
                         num_agents=500, aimd=aimd, engine=EngineParams(steps=60))
         assert oracle_agrees(run(cfg))
-        agents = [AgentState(agent_id=0, cwnd=aimd.initial_cwnd, count=cfg.num_agents)]
+        agents = [AgentState(cwnd=aimd.initial_cwnd, count=cfg.num_agents)]
         record = mpsim.engine.step(agents, None, cfg, None, random.Random("0"))
         assert record.overflows[0] > 0.0
         on_path_one = [agent.cwnd for agent in agents if agent.chosen_path == 1]
@@ -837,7 +879,7 @@ class TestPathViews:
     def test_views_equal_the_constructed_views(self):
         cfg = config("epsilon_greedy", agents=50)
         paths = cfg.topology.paths
-        agents = [AgentState(agent_id=0, cwnd=1.0, count=cfg.num_agents)]
+        agents = [AgentState(cwnd=1.0, count=cfg.num_agents)]
         record = mpsim.engine.step(agents, None, cfg, None, random.Random("0"))
         assert any(record.loads) and any(path.attributes for path in paths)
         cases = [
@@ -972,7 +1014,7 @@ class TestExactDraws:
         rng = random.Random(seed)
         observed = {}
         for _ in range(self.STEPS):
-            record = mpsim.engine.step([AgentState(agent_id=0, cwnd=1.0, count=agents)],
+            record = mpsim.engine.step([AgentState(cwnd=1.0, count=agents)],
                                        None, cfg, None, rng)
             counts = tuple(int(load) for load in record.loads)
             observed[counts] = observed.get(counts, 0) + 1
@@ -987,7 +1029,7 @@ class TestExactDraws:
         rng = random.Random("large")
         observed = [{} for _ in range(path_count)]
         for _ in range(self.STEPS // 4):
-            record = mpsim.engine.step([AgentState(agent_id=0, cwnd=1.0, count=agents)],
+            record = mpsim.engine.step([AgentState(cwnd=1.0, count=agents)],
                                        None, cfg, None, rng)
             for tally, load in zip(observed, record.loads):
                 tally[int(load)] = tally.get(int(load), 0) + 1
