@@ -22,7 +22,9 @@ Cells use the default topology, 300 steps, seed 0 and default AIMD:
   epsilon-greedy at epsilon 0, 0.1 and 0.5 with N = 10 and 500 and at
   epsilon 0.1 with N = 25, 50, 100 and 250 and at epsilon 0.3 with
   N = 500, min_rtt and round robin at N = 10
-  and 500, min_rtt at N = 25 and min_load at N = 50; every strategy at
+  and 500, min_rtt at N = 25 and min_load at N = 50, min_load,
+  attribute_aware and blest at N = 10 (cells that never recur, so the
+  rule runs every step); every strategy at
   N = 5000, and at N = 100,000 the five that run() steps as one state
   and epsilon-greedy at epsilon 0.1, stepped as cohorts.
   A run without an rng stops stepping once its state recurs (see
@@ -60,6 +62,7 @@ RUN_CELLS = ([("weighted_round_robin", 0.1, n) for n in (10, 25, 50, 100, 150, 5
              + [("epsilon_greedy", 0.3, 500)]
              + [(name, 0.1, n) for name in ("min_rtt", "round_robin") for n in (10, 500)]
              + [("min_rtt", 0.1, 25), ("min_load", 0.1, 50)]
+             + [(name, 0.1, 10) for name in ("min_load", "attribute_aware", "blest")]
              + [(name, 0.1, 5000) for name in STRATEGIES]
              + [(name, 0.1, 100_000) for name in SHARED]
              + [("epsilon_greedy", 0.1, 100_000)])

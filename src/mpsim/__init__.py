@@ -36,10 +36,8 @@ from .metrics import (
 )
 from .strategy import (
     STRATEGY_NAMES,
-    PathView,
     StrategyKind,
     select_attribute_aware,
-    select_blest,
     select_min_load,
     select_min_rtt,
     wrr_schedule,

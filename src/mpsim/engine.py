@@ -8,17 +8,16 @@ otherwise). Telemetry records per-step per-path load/overflow/RTT plus
 the final windows; the metrics layer consumes nothing else.
 
 A step computes once whatever is the same for every agent: the path of
-the strategy's rule in `_SHARED_CHOICE` and, in one pass over the
-paths, each path's overflow, RTT, loss flag and loss-free window
-increment. A rule builds the path views only if its selector reads
-them. The loops over states only pick a path, put the state on that
-path's list of senders and add the window to that path's load in agent
-order (the same float sum as one addition per agent), with no function
-call per state beyond the appends and epsilon-greedy's draws. The path
-pass then applies each path's outcome to its list, so the AIMD update
-is one loop for every strategy. On a lost path it skips the windows
-already at the floor: beta * floor < floor, so the clamp would write
-the floor back.
+the strategy's rule in `_SHARED_CHOICE`, read off the previous record's
+RTT or load tuple, and, in one pass over the paths, each path's
+overflow, RTT, loss flag and loss-free window increment. The loops over
+states only pick a path, put the state on that path's list of senders
+and add the window to that path's load in agent order (the same float
+sum as one addition per agent), with no function call per state beyond
+the appends and epsilon-greedy's draws. The path pass then applies each
+path's outcome to its list, so the AIMD update is one loop for every
+strategy. On a lost path it skips the windows already at the floor:
+beta * floor < floor, so the clamp would write the floor back.
 
 Layouts: run() lays the N agents out as S states, each standing for
 `count` agents that share a window and a choice; agents that start
@@ -36,23 +35,24 @@ computes a run of equal windows in O(log count) instead of O(count).
 Every other strategy keeps its agents as cohorts: the distinct windows
 with their agent counts, in ascending window order (agents with equal
 windows are exchangeable). Its rule gives the path every agent takes,
-a function of the shared path view and the step index t: min-RTT,
-min-load, attribute-aware and BLEST read the view, and round robin's
-cursors all start at 0, so every agent picks path 1 + t mod P; their N
-agents stay one cohort. Epsilon-greedy's rule is min-RTT's, the path
-its exploiters take; at epsilon > 0 some agents explore, all drawing
-from one stream per run. Each step a cohort of k agents draws
-X ~ Bin(k, epsilon) explorers, exact in distribution
-(`binomialvariate`), and spreads them over the P paths in path order
-by Bin(left, 1 / (P - j)), the sequential form of a multinomial with
-equal cells; its k - X exploiters take the rule's path. A cohort of
-one draws as a single agent: one uniform against epsilon, then the
-explored index. So the counts on each path have exactly the law of k
-independent agents' choices. Each path's load adds, cohort by cohort,
-its share of each cohort's window; the AIMD update applies once per
-(cohort, path) state, and states whose windows come out equal merge.
-A step costs O(cohorts x P) instead of O(N): at N = 500 and epsilon
-0.1 about 5 cohorts, most agents sitting on the floor.
+a function of the previous record and the step index t: min-RTT (and
+BLEST, whose filter always keeps the min-RTT path), min-load and
+attribute-aware read the record, and round robin's cursors all start
+at 0, so every agent picks path 1 + t mod P; their N agents stay one
+cohort. Epsilon-greedy's rule is min-RTT's, the path its exploiters
+take; at epsilon > 0 some agents explore, all drawing from one stream
+per run. Each step a cohort of k agents draws X ~ Bin(k, epsilon)
+explorers, exact in distribution (`binomialvariate`), and spreads them
+over the P paths in path order by Bin(left, 1 / (P - j)), the
+sequential form of a multinomial with equal cells; its k - X
+exploiters take the rule's path. A cohort of one draws as a single
+agent: one uniform against epsilon, then the explored index. So the
+counts on each path have exactly the law of k independent agents'
+choices. Each path's load adds, cohort by cohort, its share of each
+cohort's window; the AIMD update applies once per (cohort, path)
+state, and states whose windows come out equal merge. A step costs
+O(cohorts x P) instead of O(N): at N = 500 and epsilon 0.1 about 5
+cohorts, most agents sitting on the floor.
 
 Recurrence: a greedy herd settles into a fixed point or a short cycle,
 and run() then stops recomputing it. Step t reads only the states'
@@ -84,14 +84,13 @@ import random
 from dataclasses import dataclass
 
 from .strategy import (
-    PathView,
     StrategyKind,
     select_attribute_aware,
-    select_blest,
     select_min_load,
+    select_min_rtt,
     wrr_schedule,
 )
-from .topology import HIGH_COST_TAG, PathSpec, Topology
+from .topology import HIGH_COST_TAG, Topology
 
 DEFAULT_STEPS = 300
 
@@ -205,6 +204,11 @@ class SimConfig:
         _index(self, "num_agents")
         if self.num_agents < 1:
             raise ValueError("num_agents must be >= 1")
+        # frozenset("high-cost") would be a set of characters
+        tags = frozenset(self.forbidden_tags)
+        if isinstance(self.forbidden_tags, str) or not all(isinstance(tag, str) for tag in tags):
+            raise TypeError("forbidden_tags must be a collection of str tags")
+        object.__setattr__(self, "forbidden_tags", tags)
 
 
 @dataclass(frozen=True)
@@ -344,43 +348,30 @@ def binomialvariate(random, n: int, p: float) -> int:
             return k
 
 
-# builds a PathView from its five fields without the NamedTuple's
-# Python-level __new__
-_new_view = tuple.__new__
 _by_cwnd = operator.attrgetter("cwnd")
 
 
-def _views(paths: tuple[PathSpec, ...], prev: StepRecord | None) -> list[PathView]:
-    if prev is None:
-        return [_new_view(PathView, (path.id, path.capacity_mbps, path.base_rtt_ms, 0.0,
-                                     path.attributes))
-                for path in paths]
-    return [_new_view(PathView, (path.id, path.capacity_mbps, rtt, load, path.attributes))
-            for path, rtt, load in zip(paths, prev.inst_rtts, prev.loads)]
-
-
-def _min_rtt(config: SimConfig, prev: StepRecord | None, t: int) -> int:
-    """select_min_rtt of the step's views: index() finds the first
-    minimum RTT, the lowest path id among ties."""
-    rtts = prev.inst_rtts if prev else [path.base_rtt_ms for path in config.topology.paths]
-    return rtts.index(min(rtts)) + 1
+def _rtts(config: SimConfig, prev: StepRecord | None) -> tuple[float, ...]:
+    """The previous record's RTTs, the base RTTs at step 0."""
+    return prev.inst_rtts if prev else tuple(path.base_rtt_ms for path in config.topology.paths)
 
 
 # the strategies stepped as cohorts: name -> rule(config, previous
 # record, step index) giving the path every agent takes, under
-# epsilon-greedy the path its exploiters take. The selectors are looked
-# up as module globals on every call, where perfbench's counters wrap
-# them. Round robin's cursors all start at 0 and advance once a step
+# epsilon-greedy the path its exploiters take. BLEST's filter always
+# keeps the min-RTT path, so it shares min-RTT's rule. At step 0 every
+# load is 0, so min-load takes path 1. The selectors are looked up as
+# module globals on every call, where perfbench's counters wrap them.
+# Round robin's cursors all start at 0 and advance once a step
 _SHARED_CHOICE = {
-    "min_rtt": _min_rtt,
-    "epsilon_greedy": _min_rtt,
-    "min_load": lambda config, prev, t: select_min_load(_views(config.topology.paths, prev)),
+    "min_rtt": lambda config, prev, t: select_min_rtt(_rtts(config, prev)),
+    "min_load": lambda config, prev, t: select_min_load(prev.loads) if prev else 1,
     "attribute_aware": lambda config, prev, t: select_attribute_aware(
-        _views(config.topology.paths, prev), config.forbidden_tags),
-    "blest": lambda config, prev, t: select_blest(_views(config.topology.paths, prev),
-                                                 config.strategy.filter_factor),
+        _rtts(config, prev), [path.attributes for path in config.topology.paths],
+        config.forbidden_tags),
     "round_robin": lambda config, prev, t: 1 + t % len(config.topology.paths),
 }
+_SHARED_CHOICE["epsilon_greedy"] = _SHARED_CHOICE["blest"] = _SHARED_CHOICE["min_rtt"]
 
 
 def _later_rounds(loads: list[float], agents: list[AgentState], num_agents: int,

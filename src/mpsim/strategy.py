@@ -1,9 +1,10 @@
 """Path selection policies.
 
-Every selector is a pure function of the agent's view of the network.
+Every selector is a pure function of the previous step's per-path RTTs
+or loads, the engine's StepRecord tuples (path id i at index i - 1).
 The cyclic policies and epsilon-greedy have no selector here: the
-engine derives their cursors from the step index and draws from each
-agent's rng itself, since its loops decide for many agents at once.
+engine derives their cursors from the step index and draws from one
+stream per run itself, since its loops decide for many agents at once.
 Ties are always broken toward the lowest path id so that runs are
 order-stable and reproducible.
 """
@@ -12,8 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, Sequence
 
 STRATEGY_NAMES = (
     "min_rtt",
@@ -29,28 +29,15 @@ DEFAULT_EPSILON = 0.1
 DEFAULT_BLEST_FILTER = 1.5
 
 
-class PathView(NamedTuple):
-    """What one agent can observe about one path when deciding.
-
-    inst_rtt_ms and prev_load_mbps describe the previous completed step;
-    at step 0 they are the base RTT and zero.
-
-    A NamedTuple rather than a frozen dataclass: it is just as immutable
-    and hashable, and the engine builds one per path on every step that
-    consults a selector, where a positional NamedTuple costs about a
-    third of a frozen dataclass's keyword construction.
-    """
-
-    path_id: int
-    capacity_mbps: float
-    inst_rtt_ms: float
-    prev_load_mbps: float
-    attributes: frozenset[str] = frozenset()
-
-
 @dataclass(frozen=True)
 class StrategyKind:
-    """A strategy name plus its tunables."""
+    """A strategy name plus its tunables.
+
+    BLEST's filter keeps the paths within `filter_factor` of the best
+    RTT, which for positive RTTs always include the min-RTT path, so the
+    engine steps blest by min-RTT's rule. `filter_factor` stays validated
+    only because perfbench/checks.py passes it to the oracle; it goes
+    with the next change to perfbench."""
 
     name: str
     epsilon: float = DEFAULT_EPSILON
@@ -67,32 +54,30 @@ class StrategyKind:
             raise ValueError("filter_factor must be finite and >= 1")
 
 
-# rank keys (field, path_id): ties go to the lowest path id
-_by_rtt = attrgetter("inst_rtt_ms", "path_id")
-_by_load = attrgetter("prev_load_mbps", "path_id")
-
-
-def select_min_rtt(views: Sequence[PathView]) -> int:
+def select_min_rtt(rtts: Sequence[float]) -> int:
     """Greedy: the path with the lowest observed instantaneous RTT."""
-    if not views:
-        raise ValueError("cannot select from an empty path view")
-    return min(views, key=_by_rtt).path_id
+    if not rtts:
+        raise ValueError("cannot select from no paths")
+    return rtts.index(min(rtts)) + 1
 
 
-def select_min_load(views: Sequence[PathView]) -> int:
+def select_min_load(loads: Sequence[float]) -> int:
     """Cooperative: the path that carried the least load last step."""
-    if not views:
-        raise ValueError("cannot select from an empty path view")
-    return min(views, key=_by_load).path_id
+    if not loads:
+        raise ValueError("cannot select from no paths")
+    return loads.index(min(loads)) + 1
 
 
-def select_attribute_aware(views: Sequence[PathView], forbidden_tags: Iterable[str]) -> int:
-    """Drop paths carrying any forbidden tag, then pick by min-RTT."""
+def select_attribute_aware(rtts: Sequence[float], attributes: Sequence[Collection[str]],
+                           forbidden_tags: Iterable[str]) -> int:
+    """Min-RTT among the paths whose tags (`attributes`, one set per
+    path) include no forbidden tag."""
     forbidden = frozenset(forbidden_tags)
-    admissible = [v for v in views if not (v.attributes & forbidden)]
+    admissible = [(rtt, path_id) for path_id, (rtt, tags) in enumerate(zip(rtts, attributes), 1)
+                  if forbidden.isdisjoint(tags)]
     if not admissible:
         raise ValueError("no admissible path after attribute filtering")
-    return select_min_rtt(admissible)
+    return min(admissible)[1]
 
 
 def wrr_schedule(capacities_mbps: Sequence[float]) -> tuple[int, ...]:
@@ -121,16 +106,3 @@ def wrr_schedule(capacities_mbps: Sequence[float]) -> tuple[int, ...]:
         credits[chosen] -= period
         schedule.append(chosen + 1)
     return tuple(schedule)
-
-
-def select_blest(views: Sequence[PathView], filter_factor: float = DEFAULT_BLEST_FILTER) -> int:
-    """Keep paths within filter_factor of the best RTT, then pick the fastest.
-
-    Queueing delay is already folded into inst_rtt_ms, so the earliest
-    completion estimate reduces to the instantaneous RTT itself.
-    """
-    if not views:
-        raise ValueError("cannot select from an empty path view")
-    best = min(v.inst_rtt_ms for v in views)
-    candidates = [v for v in views if v.inst_rtt_ms <= filter_factor * best]
-    return select_min_rtt(candidates)

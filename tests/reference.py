@@ -274,18 +274,19 @@ def epsilon_explore(rng, epsilon, path_count):
     return None
 
 
-def select_epsilon_greedy(state, views, epsilon):
+def select_epsilon_greedy(state, rtts, epsilon):
     """Explore a uniformly random path with probability epsilon, else
-    exploit min-RTT (lowest path id on ties). Both draws come from the
-    agent's own seeded stream."""
-    if not views:
-        raise ValueError("cannot select from an empty path view")
+    exploit min-RTT (lowest path id on ties). `rtts` holds one RTT per
+    path, path id i at index i - 1, as the package's selectors take
+    them. Both draws come from the agent's own seeded stream."""
+    if not rtts:
+        raise ValueError("cannot select from no paths")
     if state.rng is None:
         raise ValueError("epsilon-greedy needs a seeded rng in SelectorState")
-    explored = epsilon_explore(state.rng, epsilon, len(views))
+    explored = epsilon_explore(state.rng, epsilon, len(rtts))
     if explored is not None:
-        return views[explored].path_id
-    return min(views, key=lambda v: (v.inst_rtt_ms, v.path_id)).path_id
+        return explored + 1
+    return min(range(len(rtts)), key=lambda i: (rtts[i], i)) + 1
 
 
 def goodput(telemetry):

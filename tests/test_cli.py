@@ -81,6 +81,18 @@ class TestRun:
         assert code == 2
         assert "capacity must be positive" in capsys.readouterr().err
 
+    def test_attribute_aware_with_every_path_forbidden_exits_2(self, tmp_path, capsys):
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({"name": "all-high-cost", "paths": [
+            {"id": i + 1, "capacity_mbps": 50, "base_rtt_ms": rtt, "attributes": ["high-cost"]}
+            for i, rtt in enumerate((20, 50))]}))
+        code = run_cli(["run", "--strategy", "attribute_aware", "--agents", "3",
+                        "--steps", "5", "--topology", str(topo)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no admissible path" in captured.err
+
     # a base RTT of 1e-300 is a valid topology number, but windows that
     # grow by step_ms / 1e-300 per step overflow the scores; the run must
     # fail at the edge instead of printing a traceback or a NaN

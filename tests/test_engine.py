@@ -22,9 +22,7 @@ from mpsim import (
     timeseries_csv,
     wrr_schedule,
 )
-from mpsim.engine import (_PLAIN_LOOP_BELOW, StepRecord, _record, _repeated_add, _views,
-                          binomialvariate)
-from mpsim.strategy import PathView, select_min_rtt
+from mpsim.engine import _PLAIN_LOOP_BELOW, StepRecord, _record, _repeated_add, binomialvariate
 from reference import apportion_loss, oracle_agrees, rtt_instantaneous, update_cwnd
 
 AIMD = AimdParams()
@@ -150,6 +148,30 @@ class TestParamValidation:
         assert type(engine.steps) is int and engine.steps == 7
         assert type(cfg.num_agents) is int and cfg.num_agents == 3
         assert len(run(cfg).records) == 7
+
+    # frozenset("high-cost") is a set of characters, which forbids no
+    # tag: on a topology whose fastest path is high-cost, the whole herd
+    # took it
+    @pytest.mark.parametrize("tags", ["high-cost", ""])
+    def test_forbidden_tags_refuse_a_str(self, tags):
+        with pytest.raises(TypeError, match="forbidden_tags"):
+            dataclasses.replace(config(), forbidden_tags=tags)
+
+    @pytest.mark.parametrize("tags", [[1], ("high-cost", None), [b"high-cost"]])
+    def test_forbidden_tags_refuse_a_non_str_member(self, tags):
+        with pytest.raises(TypeError, match="forbidden_tags"):
+            dataclasses.replace(config(), forbidden_tags=tags)
+
+    @pytest.mark.parametrize("tags", [["high-cost"], ("high-cost",), {"high-cost"},
+                                      (tag for tag in ["high-cost"])])
+    def test_forbidden_tags_are_stored_as_a_frozenset(self, tags):
+        topology = Topology("tagged", (PathSpec(1, 50.0, 10.0, frozenset({"high-cost"})),
+                                       PathSpec(2, 50.0, 30.0)))
+        cfg = dataclasses.replace(config("attribute_aware", steps=3, topology=topology),
+                                  forbidden_tags=tags)
+        assert type(cfg.forbidden_tags) is frozenset and cfg.forbidden_tags == {"high-cost"}
+        assert hash(cfg) == hash(dataclasses.replace(cfg, forbidden_tags={"high-cost"}))
+        assert [record.loads for record in run(cfg).records[:1]] == [(0.0, 10.0)]
 
 
 class TestSingleSteps:
@@ -411,23 +433,46 @@ class TestStepContract:
         table = mpsim.engine._SHARED_CHOICE
         assert set(table) == set(STRATEGY_NAMES) - {"weighted_round_robin"}
         assert table["epsilon_greedy"] is table["min_rtt"]
+        assert table["blest"] is table["min_rtt"]
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), path_count=st.integers(1, 6))
-    def test_min_rtt_rule_is_select_min_rtt(self, data, path_count):
-        # RTTs drawn from a few values, so that ties are common; the base
-        # RTTs rank the paths at step 0, the previous record's after it
+    def test_rules_take_the_lowest_index_minimum(self, data, path_count):
+        # RTTs and loads drawn from a few values, so that ties are
+        # common; the base RTTs (and no load) rank the paths at step 0,
+        # the previous record's RTTs and loads after it
         def column(values):
             return data.draw(st.tuples(*[values] * path_count))
 
+        def first_minimum(values, admissible):
+            best = None
+            for i in admissible:
+                if best is None or values[i] < values[best]:
+                    best = i
+            return best + 1
+
         rtt = st.sampled_from([15.0, 20.0, 20.5, 1e3])
-        base, rtts, loads = column(rtt), column(rtt), column(st.floats(0.0, 1e4))
-        topology = Topology("drawn", tuple(PathSpec(i + 1, 50.0, b) for i, b in enumerate(base)))
-        cfg = config(topology=topology)
+        base, rtts = column(rtt), column(rtt)
+        loads = column(st.sampled_from([0.0, 3.5, 3.5000000000000004, 40.0]))
+        tags = column(st.sets(st.sampled_from(["high-cost", "metered", "x"]), max_size=2))
+        forbidden = data.draw(st.frozensets(st.sampled_from(["high-cost", "metered"])))
+        topology = Topology("drawn", tuple(PathSpec(i + 1, 50.0, b, frozenset(t))
+                                           for i, (b, t) in enumerate(zip(base, tags))))
+        cfg = dataclasses.replace(config(topology=topology), forbidden_tags=forbidden)
         prev = StepRecord(7, loads, (0.0,) * path_count, rtts)
-        rule = mpsim.engine._SHARED_CHOICE["min_rtt"]
-        assert rule(cfg, None, 0) == select_min_rtt(_views(topology.paths, None))
-        assert rule(cfg, prev, 8) == select_min_rtt(_views(topology.paths, prev))
+        every = range(path_count)
+        allowed = [i for i in every if not tags[i] & forbidden]
+        table = mpsim.engine._SHARED_CHOICE
+        for record, t, ranked_rtts, ranked_loads in ((None, 0, base, (0.0,) * path_count),
+                                                     (prev, 8, rtts, loads)):
+            assert table["min_rtt"](cfg, record, t) == first_minimum(ranked_rtts, every)
+            assert table["min_load"](cfg, record, t) == first_minimum(ranked_loads, every)
+            if allowed:
+                assert (table["attribute_aware"](cfg, record, t)
+                        == first_minimum(ranked_rtts, allowed))
+            else:
+                with pytest.raises(ValueError, match="no admissible path"):
+                    table["attribute_aware"](cfg, record, t)
 
     @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
     def test_step_by_hand_reproduces_run(self, strategy):
@@ -870,30 +915,6 @@ class TestRecords:
         for record in run(config(strategy, agents=30, steps=40)).records:
             assert vars(record) == vars(StepRecord(record.step, record.loads, record.overflows,
                                                    record.inst_rtts))
-
-
-class TestPathViews:
-    # _views builds each PathView with tuple.__new__, past the
-    # NamedTuple's constructor and its check of the field count: a field
-    # added to or moved in PathView must fail here
-    def test_views_equal_the_constructed_views(self):
-        cfg = config("epsilon_greedy", agents=50)
-        paths = cfg.topology.paths
-        agents = [AgentState(cwnd=1.0, count=cfg.num_agents)]
-        record = mpsim.engine.step(agents, None, cfg, None, random.Random("0"))
-        assert any(record.loads) and any(path.attributes for path in paths)
-        cases = [
-            (None, [PathView(path.id, path.capacity_mbps, path.base_rtt_ms, 0.0, path.attributes)
-                    for path in paths]),
-            (record, [PathView(path.id, path.capacity_mbps, rtt, load, path.attributes)
-                      for path, rtt, load in zip(paths, record.inst_rtts, record.loads)]),
-        ]
-        for prev, expected in cases:
-            views = _views(paths, prev)
-            assert views == expected
-            assert all(type(view) is PathView and len(view) == len(PathView._fields)
-                       for view in views)
-            assert [view._asdict() for view in views] == [view._asdict() for view in expected]
 
 
 def chi2_sf(stat, dof):
