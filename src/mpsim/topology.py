@@ -43,6 +43,11 @@ class PathSpec:
             raise TopologyError(f"path {self.id}: capacity must be positive")
         if self.base_rtt_ms <= 0:
             raise TopologyError(f"path {self.id}: base_rtt must be positive")
+        # frozenset("high-cost") would be a set of characters
+        tags = frozenset(self.attributes)
+        if isinstance(self.attributes, str) or not all(isinstance(tag, str) for tag in tags):
+            raise TypeError(f"path {self.id}: attributes must be a collection of str tags")
+        object.__setattr__(self, "attributes", tags)
 
 
 @dataclass(frozen=True)

@@ -173,6 +173,15 @@ class TestParamValidation:
         assert hash(cfg) == hash(dataclasses.replace(cfg, forbidden_tags={"high-cost"}))
         assert [record.loads for record in run(cfg).records[:1]] == [(0.0, 10.0)]
 
+    def test_path_attributes_given_as_a_list_keep_a_config_hashable(self):
+        # a list of tags was kept as is and made the config unhashable
+        def tagged(attributes):
+            return Topology("tagged", (PathSpec(1, 50.0, 10.0, attributes),
+                                       PathSpec(2, 50.0, 30.0)))
+        cfg = config("attribute_aware", steps=3, topology=tagged(["high-cost"]))
+        assert hash(cfg) == hash(dataclasses.replace(cfg, topology=tagged({"high-cost"})))
+        assert [record.loads for record in run(cfg).records[:1]] == [(0.0, 10.0)]
+
 
 class TestSingleSteps:
     def test_single_agent_first_step(self):

@@ -158,3 +158,28 @@ def test_pathspec_direct_validation():
         PathSpec(id=1, capacity_mbps=-5, base_rtt_ms=10)
     with pytest.raises(TopologyError):
         Topology(name="x", paths=())
+
+
+# a bare str was kept as is, and attribute_aware read it as a set of
+# characters: the tagged path was never filtered out
+@pytest.mark.parametrize("attributes", [HIGH_COST_TAG, ""])
+def test_pathspec_attributes_refuse_a_str(attributes):
+    with pytest.raises(TypeError, match="attributes"):
+        PathSpec(1, 50.0, 10.0, attributes)
+
+
+@pytest.mark.parametrize("attributes", [[1], (HIGH_COST_TAG, None), [b"high-cost"]])
+def test_pathspec_attributes_refuse_a_non_str_member(attributes):
+    with pytest.raises(TypeError, match="attributes"):
+        PathSpec(1, 50.0, 10.0, attributes)
+
+
+@pytest.mark.parametrize("attributes", [[HIGH_COST_TAG], (HIGH_COST_TAG,), {HIGH_COST_TAG},
+                                        (tag for tag in [HIGH_COST_TAG])])
+def test_pathspec_attributes_are_stored_as_a_frozenset(attributes):
+    path = PathSpec(1, 50.0, 10.0, attributes)
+    assert type(path.attributes) is frozenset and path.attributes == {HIGH_COST_TAG}
+    assert hash(path) == hash(PathSpec(1, 50.0, 10.0, frozenset({HIGH_COST_TAG})))
+    topo = Topology("tagged", (path, PathSpec(2, 50.0, 30.0)))
+    assert json.loads(serialize_topology(topo))["paths"][0]["attributes"] == [HIGH_COST_TAG]
+    assert parse_topology(serialize_topology(topo)) == topo
