@@ -32,8 +32,12 @@ Cells use the default topology, 300 steps, seed 0 and default AIMD:
   min_rtt at N = 25 recurs with a 154-step cycle that the check cannot
   catch within 300 steps, and min_load at N = 50 and weighted round
   robin at N = 150 are the smallest grid counts at which they recur;
-- `score()` of a telemetry built outside the timed call, for min_rtt
-  (one distinct window) and epsilon-greedy (many) at N = 10 and 500;
+- `score()` of a telemetry built outside the timed call (epsilon 0.1),
+  for min_rtt (one distinct window) and epsilon-greedy (many) at N = 10
+  and 500, min_rtt, weighted round robin and epsilon-greedy at N = 2000
+  and 100,000, and weighted round robin at N = 150, whose run is
+  replayed after an 8-step prefix. Replayed records share their cycle's
+  tuples, which score() reuses; the N = 10 cells never recur;
 - `emit_summary()` of the raw CSV of the 49 rows of the sweep below,
   built outside the timed call;
 - `sweep_agents()` over the 49-cell reproduction grid (every strategy
@@ -66,7 +70,10 @@ RUN_CELLS = ([("weighted_round_robin", 0.1, n) for n in (10, 25, 50, 100, 150, 5
              + [(name, 0.1, 5000) for name in STRATEGIES]
              + [(name, 0.1, 100_000) for name in SHARED]
              + [("epsilon_greedy", 0.1, 100_000)])
-SCORE_CELLS = [(name, n) for n in (10, 500) for name in ("min_rtt", "epsilon_greedy")]
+SCORE_CELLS = ([(name, n) for n in (10, 500) for name in ("min_rtt", "epsilon_greedy")]
+               + [(name, n) for n in (2000, 100_000)
+                  for name in ("min_rtt", "weighted_round_robin", "epsilon_greedy")]
+               + [("weighted_round_robin", 150)])
 
 
 def _git(*args):

@@ -55,8 +55,11 @@ def _float_list(raw: str) -> tuple[float, ...]:
 
 
 def cmd_run(args) -> int:
+    if args.epsilon is not None and args.strategy != "epsilon_greedy":
+        raise ValueError("--epsilon applies only with --strategy epsilon_greedy")
+    epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
     topology = _load_topology(args.topology)
-    kind = StrategyKind(args.strategy, epsilon=args.epsilon)
+    kind = StrategyKind(args.strategy, epsilon=epsilon)
     config = SimConfig(
         topology=topology,
         strategy=kind,
@@ -75,7 +78,7 @@ def cmd_run(args) -> int:
         "scores": asdict(scores),
     }
     if kind.name == "epsilon_greedy":
-        doc["epsilon"] = args.epsilon
+        doc["epsilon"] = epsilon
     _write_output(json.dumps(doc, indent=2) + "\n", args.out)
     if args.timeseries:
         _write_output(timeseries_csv(telemetry), args.timeseries)
@@ -149,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--agents", type=int, default=100)
     run_p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
-                       help="exploration probability for epsilon_greedy")
+    run_p.add_argument("--epsilon", type=float,
+                       help=f"exploration probability for epsilon_greedy (default {DEFAULT_EPSILON})")
     run_p.add_argument("--topology", help="topology JSON file (default: built-in)")
     run_p.add_argument("--out", help="output file for the score summary (default: stdout)")
     run_p.add_argument("--timeseries", help="also write per-step per-path CSV here")
@@ -180,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_p = sub.add_parser("report", help="re-render stored sweep results")
     report_p.add_argument("--in", dest="infile", required=True)
     report_p.add_argument("--format", choices=("csv", "markdown"), default="markdown")
-    report_p.add_argument("--raw", action="store_true")
+    report_p.add_argument("--raw", action="store_true", help="full precision; needs --format csv")
     report_p.add_argument("--out")
     report_p.set_defaults(func=cmd_report)
     return parser
@@ -189,6 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "raw", False) and args.format == "markdown":
+            raise ValueError("--raw applies only to CSV output, not to markdown")
         return args.func(args)
     except (TopologyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

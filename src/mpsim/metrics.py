@@ -6,15 +6,20 @@ mean cross-path dispersion of load within a step. Stability and loss
 avoidance are the bounded inverses 1/(1+x) of oscillation and loss.
 Fairness is Jain's index over the final congestion windows. score()
 refuses a score that is not finite with a ValueError that names it.
+Scoring costs O(distinct steps + runs of equal windows): a record with
+an earlier record's `loads` and `overflows` tuples (a replayed cycle's)
+reuses that step's values, and a run of equal windows adds its square
+in O(log count), so each sum still adds its terms in order, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
-from .engine import Telemetry
+from .engine import Telemetry, _repeated_add
 
 
 @dataclass(frozen=True)
@@ -31,27 +36,32 @@ class AxiomScores:
 def _step_means(telemetry: Telemetry) -> tuple[float, float, float]:
     """Means over steps of the total sent load, the total overflow and
     the population std of load across paths, from one pass over the
-    records. Each mean sums its per-step values in step order."""
+    records. Each mean adds its per-step values one by one in step order;
+    a record with an earlier record's tuples reuses that step's values."""
     records = telemetry.records
     if not records:
         raise ValueError("telemetry has no records")
     if not records[0].loads:
         raise ValueError("telemetry has no paths")
-    sent, overflow, spread = [], [], []
+    seen = {}  # id(loads) -> step values, overflows; records keep each id's tuple
+    sent = overflow = spread = 0
     for record in records:
-        loads = record.loads
-        paths = len(loads)
-        total = sum(loads)
-        mean = total / paths
-        sent.append(total)
-        overflow.append(sum(record.overflows))
-        try:
-            spread.append(math.sqrt(sum([(v - mean) ** 2 for v in loads]) / paths))
-        except OverflowError:
-            raise ValueError(f"oscillation is not finite: the load spread of step "
-                             f"{record.step} overflows") from None
+        loads, overflows = record.loads, record.overflows
+        step = seen.get(id(loads))
+        if step is None or step[3] is not overflows:
+            paths, total, deviation = len(loads), sum(loads), 0
+            mean = total / paths
+            try:
+                for v in loads:
+                    deviation += (v - mean) ** 2
+            except OverflowError:
+                raise ValueError(f"oscillation is not finite: the load spread of step "
+                                 f"{record.step} overflows") from None
+            step = seen[id(loads)] = (total, sum(overflows),
+                                      math.sqrt(deviation / paths), overflows)
+        sent, overflow, spread = sent + step[0], overflow + step[1], spread + step[2]
     steps = len(records)
-    return sum(sent) / steps, sum(overflow) / steps, sum(spread) / steps
+    return sent / steps, overflow / steps, spread / steps
 
 
 def efficiency(telemetry: Telemetry) -> float:
@@ -84,13 +94,27 @@ def loss_avoidance(loss_mbps: float) -> float:
 
 
 def jain_fairness(final_cwnds: Sequence[float]) -> float:
-    """Jain's index (sum x)^2 / (n * sum x^2), from 1/n up to 1.0."""
+    """Jain's index (sum x)^2 / (n * sum x^2), from 1/n up to 1.0. The sum
+    of squares adds x * x value by value, but a leading run of equal values
+    whose square is a positive finite float takes one _repeated_add: bit
+    for bit the same additions, in O(log count)."""
     if not final_cwnds:
         raise ValueError("need at least one value")
-    if any(v < 0 for v in final_cwnds):
+    runs = []
+    for v, run in groupby(final_cwnds):
+        count, square = len(list(run)), v * v
+        if count == 1 or type(square) is not float or not 0.0 < square < math.inf:
+            break
+        runs.append((v, count))
+    rest = final_cwnds[sum(count for _, count in runs):]
+    # a value equal to its run's first is negative only if that one is
+    if any(v < 0 for v, _ in runs) or any(v < 0 for v in rest):
         raise ValueError("fairness requires nonnegative values")
     total = sum(final_cwnds)
-    square_sum = sum(v * v for v in final_cwnds)
+    square_sum = 0
+    for v, count in runs:
+        square_sum = _repeated_add(square_sum + v * v, v * v, count - 1)
+    square_sum = sum((v * v for v in rest), square_sum)
     # square_sum can underflow to zero for subnormal inputs even when
     # the plain sum does not; both cases are effectively all-zero
     if total == 0 or square_sum == 0:
@@ -99,7 +123,8 @@ def jain_fairness(final_cwnds: Sequence[float]) -> float:
 
 
 def score(telemetry: Telemetry) -> AxiomScores:
-    """Bundle all axiom scores for one run; refuse a non-finite one."""
+    """Bundle all axiom scores for one run, reading each distinct step and
+    run of equal windows once (see the module docstring); refuse a non-finite one."""
     eff, lam, osc = _step_means(telemetry)
     fairness = jain_fairness(telemetry.final_cwnds)
     # goodput, stability and loss avoidance are finite when these are

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from mpsim.cli import main
+from mpsim.strategy import DEFAULT_EPSILON
 
 
 def run_cli(args):
@@ -50,6 +51,22 @@ class TestRun:
         assert list(json.loads(out.read_text())["scores"]) == [
             "oscillation", "loss", "fairness", "efficiency", "goodput", "stability",
             "loss_avoidance"]
+
+    def test_epsilon_for_another_strategy_exits_2(self, capsys):
+        code = run_cli(["run", "--strategy", "min_rtt", "--epsilon", "0.7", "--steps", "5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --epsilon applies only with --strategy epsilon_greedy\n"
+
+    @pytest.mark.parametrize("flags, epsilon", [([], DEFAULT_EPSILON), (["--epsilon", "0.3"], 0.3)])
+    def test_epsilon_greedy_reports_its_epsilon(self, capsys, flags, epsilon):
+        assert run_cli(["run", "--strategy", "epsilon_greedy", "--agents", "20",
+                        "--steps", "5", *flags]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["epsilon"] == epsilon
+        assert list(doc) == ["strategy", "agents", "steps", "seed", "topology", "scores",
+                             "epsilon"]
 
     def test_timeseries_export(self, tmp_path):
         out = tmp_path / "scores.json"
@@ -162,6 +179,7 @@ class TestSweep:
         (["--strategies", "min_rtt", "--agents", "999"], "--agents"),
         (["--all-strategies", "--agents", "0"], "--agents"),
         (["--all-strategies", "--strategies", "min_rtt"], "--all-strategies"),
+        (["--all-strategies", "--format", "markdown", "--raw"], "--raw"),
     ])
     def test_flag_the_mode_ignores_exits_2(self, capsys, args, flag):
         code = run_cli(["sweep", "--steps", "2", *args])
@@ -220,6 +238,24 @@ class TestReport:
         assert run_cli(["report", "--in", str(raw), "--format", "markdown"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 2 + 49
+
+    @pytest.mark.parametrize("flags", [["--raw"], ["--raw", "--format", "markdown"]])
+    def test_raw_with_markdown_exits_2(self, tmp_path, capsys, flags):
+        raw = tmp_path / "results.csv"
+        assert run_cli(["sweep", "--strategies", "min_rtt", "--agents-list", "10",
+                        "--steps", "10", "--raw", "--out", str(raw)]) == 0
+        capsys.readouterr()
+        assert run_cli(["report", "--in", str(raw), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --raw ")
+
+    def test_raw_csv_rerenders_full_precision(self, tmp_path, capsys):
+        raw = tmp_path / "results.csv"
+        assert run_cli(["sweep", "--strategies", "min_rtt", "--agents-list", "10",
+                        "--steps", "10", "--raw", "--out", str(raw)]) == 0
+        assert run_cli(["report", "--in", str(raw), "--raw", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == raw.read_text()
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = run_cli(["report", "--in", str(tmp_path / "absent.csv")])

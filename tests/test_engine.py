@@ -435,6 +435,36 @@ class TestStepContract:
         else:
             assert calls == list(range(steps))
 
+    # metrics.score() reuses a step's values for a record that holds the
+    # very loads and overflows tuples of an earlier one: each copied record
+    # must share the tuples of the record one cycle before it
+    @pytest.mark.parametrize("strategy, agents", [
+        ("min_rtt", 500), ("round_robin", 500), ("min_load", 50),
+        ("weighted_round_robin", 150), ("weighted_round_robin", 500),
+    ])
+    def test_replayed_records_share_their_cycles_tuples(self, monkeypatch, strategy, agents):
+        real_step = mpsim.engine.step
+        computed = set()
+
+        def counting_step(*args, **kwargs):
+            record = real_step(*args, **kwargs)
+            computed.add(record.step)
+            return record
+
+        monkeypatch.setattr(mpsim.engine, "step", counting_step)
+        records = run(config(strategy, agents=agents)).records
+        copies = [r.step for r in records if r.step not in computed]
+        assert copies
+        first = records[copies[0]]
+        cycle = next(d for d in range(1, copies[0] + 1)
+                     if records[copies[0] - d].loads is first.loads)
+        assert copies[0] - cycle in computed
+        for k in copies:
+            source = records[k - cycle]
+            assert records[k].loads is source.loads
+            assert records[k].overflows is source.overflows
+            assert records[k].inst_rtts is source.inst_rtts
+
     def test_shared_choice_table_covers_every_name_but_weighted_round_robin(self):
         # step() steps every strategy in the table as cohorts, the rule
         # giving the path every agent takes; epsilon-greedy's exploiters

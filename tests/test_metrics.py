@@ -1,16 +1,19 @@
+import dataclasses
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from mpsim import (
     STRATEGY_NAMES,
     AimdParams,
     EngineParams,
+    PathSpec,
     SimConfig,
     StepRecord,
     StrategyKind,
     Telemetry,
+    Topology,
     default_topology,
     efficiency,
     jain_fairness,
@@ -240,3 +243,98 @@ class TestOnePassScore:
     def test_no_paths_rejected(self):
         with pytest.raises(ValueError, match="no paths"):
             score(synthetic([()]))
+
+
+def fresh_copy(telemetry):
+    """The same telemetry with a new tuple for every tuple and a new float
+    for every window, so no record shares an object with another."""
+    return Telemetry(
+        records=tuple(StepRecord(step=r.step, loads=tuple(list(r.loads)),
+                                 overflows=tuple(list(r.overflows)),
+                                 inst_rtts=tuple(list(r.inst_rtts)))
+                      for r in telemetry.records),
+        final_cwnds=tuple(float(repr(v)) for v in telemetry.final_cwnds),
+        config=telemetry.config)
+
+
+def old_jain(values):
+    """Jain's index as one pass per sum, value by value."""
+    if not values:
+        raise ValueError("need at least one value")
+    if any(v < 0 for v in values):
+        raise ValueError("fairness requires nonnegative values")
+    total = sum(values)
+    square_sum = sum(v * v for v in values)
+    if total == 0 or square_sum == 0:
+        raise ValueError("undefined fairness: all values are zero")
+    return (total * total) / (len(values) * square_sum)
+
+
+def outcome(function, *args):
+    try:
+        return "value", repr(function(*args))
+    except Exception as exc:  # compared across both formulas
+        return type(exc), str(exc)
+
+
+class TestReuse:
+    # score() reuses a step's values for a record holding the very loads
+    # and overflows tuples of an earlier one (run() shares them across a
+    # replayed cycle) and adds runs of equal windows with _repeated_add;
+    # both must give the plain loops' floats bit for bit
+    @settings(max_examples=60, deadline=None)
+    @given(strategy=st.sampled_from(STRATEGY_NAMES),
+           rows=st.lists(st.tuples(st.floats(5.0, 200.0), st.floats(1.0, 100.0)),
+                         min_size=1, max_size=4),
+           agents=st.integers(1, 3000), steps=st.integers(1, 300))
+    def test_replayed_run_scores_as_fresh_copies(self, strategy, rows, agents, steps):
+        topology = Topology("drawn", tuple(PathSpec(i + 1, capacity, rtt)
+                                           for i, (capacity, rtt) in enumerate(rows)))
+        # epsilon 0 keeps epsilon-greedy free of an rng, so its run can replay
+        telemetry = run(SimConfig(topology=topology,
+                                  strategy=StrategyKind(strategy, epsilon=0.0),
+                                  num_agents=agents, engine=EngineParams(steps=steps)))
+        replayed = len({id(r.loads) for r in telemetry.records}) < steps
+        event(f"replayed: {replayed}")
+        shared, fresh = score(telemetry), score(fresh_copy(telemetry))
+        assert repr(shared) == repr(fresh)
+        for field in dataclasses.fields(shared):
+            assert getattr(shared, field.name) == getattr(fresh, field.name)
+
+    def test_a_herd_replays_and_scores_as_fresh_copies(self):
+        telemetry = run(SimConfig(topology=default_topology(), strategy=StrategyKind("min_rtt"),
+                                  num_agents=500, engine=EngineParams(steps=300)))
+        assert len({id(r.loads) for r in telemetry.records}) < 300
+        assert score(telemetry) == score(fresh_copy(telemetry))
+
+    def test_shared_loads_with_other_overflows_read_their_own(self):
+        loads = (60.0, 0.0, 0.0)
+        first, second = (10.0, 0.0, 0.0), (2.5, 0.0, 0.0)
+        rtts = (20.0, 50.0, 80.0)
+        t = synthetic([loads])
+        t = Telemetry(records=(StepRecord(0, loads, first, rtts),
+                               StepRecord(1, loads, second, rtts),
+                               StepRecord(2, loads, first, rtts)),
+                      final_cwnds=t.final_cwnds, config=t.config)
+        assert loss(t) == (10.0 + 2.5 + 10.0) / 3
+        assert score(t) == score(fresh_copy(t))
+
+    def test_overflow_error_names_the_first_step_whose_spread_overflows(self):
+        steady, wild = synthetic([(1.0, 2.0, 3.0), (1e200, 0.0, 0.0)]).records
+        t = synthetic([(1.0, 2.0, 3.0)])
+        t = Telemetry(records=(steady, StepRecord(1, wild.loads, wild.overflows, wild.inst_rtts),
+                               StepRecord(2, steady.loads, steady.overflows, steady.inst_rtts),
+                               StepRecord(3, wild.loads, wild.overflows, wild.inst_rtts)),
+                      final_cwnds=t.final_cwnds, config=t.config)
+        with pytest.raises(ValueError, match="spread of step 1 overflows"):
+            score(t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.floats(), st.floats(0.0, 1e-300), st.floats(1.0, 100.0),
+                  st.sampled_from([0.0, -0.0, 5e-324, 1e-160, 1e154, math.inf, math.nan]),
+                  st.integers(-1, 3)),
+        st.one_of(st.integers(1, 3), st.integers(1, 3000))), min_size=1, max_size=6))
+    def test_jain_fairness_equals_the_plain_formula(self, runs):
+        values = [v for value, count in runs for v in [value] * count]
+        assert outcome(jain_fairness, values) == outcome(old_jain, values)
