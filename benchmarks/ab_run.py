@@ -35,8 +35,9 @@ Cells use the default topology, 300 steps, seed 0 and default AIMD:
 - `score()` of a telemetry built outside the timed call (epsilon 0.1),
   for min_rtt (one distinct window) and epsilon-greedy (many) at N = 10
   and 500, min_rtt, weighted round robin and epsilon-greedy at N = 2000
-  and 100,000, and weighted round robin at N = 150, whose run is
-  replayed after an 8-step prefix. Replayed records share their cycle's
+  and 100,000, and weighted round robin at N = 150, whose loads cycle
+  with period 23 after an 8-step prefix (run() computes 70 of its 300
+  steps and copies the rest). Copied records share their cycle's
   tuples, which score() reuses; the N = 10 cells never recur;
 - `emit_summary()` of the raw CSV of the 49 rows of the sweep below,
   built outside the timed call;

@@ -9,7 +9,8 @@ refuses a score that is not finite with a ValueError that names it.
 Scoring costs O(distinct steps + runs of equal windows): a record with
 an earlier record's `loads` and `overflows` tuples (a replayed cycle's)
 reuses that step's values, and a run of equal windows adds its square
-in O(log count), so each sum still adds its terms in order, bit for bit.
+in O(log count). Every sum adds its terms one by one in order, as sum()
+does before CPython 3.12 (which compensates): bit for bit the plain loops.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ class AxiomScores:
 def _step_means(telemetry: Telemetry) -> tuple[float, float, float]:
     """Means over steps of the total sent load, the total overflow and
     the population std of load across paths, from one pass over the
-    records. Each mean adds its per-step values one by one in step order;
-    a record with an earlier record's tuples reuses that step's values."""
+    records. Each mean sums its per-step values in step order."""
     records = telemetry.records
     if not records:
         raise ValueError("telemetry has no records")
@@ -95,9 +95,9 @@ def loss_avoidance(loss_mbps: float) -> float:
 
 def jain_fairness(final_cwnds: Sequence[float]) -> float:
     """Jain's index (sum x)^2 / (n * sum x^2), from 1/n up to 1.0. The sum
-    of squares adds x * x value by value, but a leading run of equal values
-    whose square is a positive finite float takes one _repeated_add: bit
-    for bit the same additions, in O(log count)."""
+    of squares adds x * x value by value, but each leading run of two or
+    more equal values whose square is a positive finite float takes one
+    _repeated_add: bit for bit the same additions, in O(log count)."""
     if not final_cwnds:
         raise ValueError("need at least one value")
     runs = []
