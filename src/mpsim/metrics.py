@@ -8,9 +8,9 @@ Fairness is Jain's index over the final congestion windows. score()
 refuses a score that is not finite with a ValueError that names it.
 Scoring costs O(distinct steps + runs of equal windows): a record with
 an earlier record's `loads` and `overflows` tuples (a replayed cycle's)
-reuses that step's values, and a run of equal windows adds its square
-in O(log count). Every sum adds its terms one by one in order, as sum()
-does before CPython 3.12 (which compensates): bit for bit the plain loops.
+reuses that step's values, and a run of equal windows adds itself and
+its square in O(log count). Float sums add in order, never by sum(), which
+compensates from CPython 3.12 on, so scores match on every interpreter.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ class AxiomScores:
 
 
 def _step_means(telemetry: Telemetry) -> tuple[float, float, float]:
-    """Means over steps of the total sent load, the total overflow and
-    the population std of load across paths, from one pass over the
-    records. Each mean sums its per-step values in step order."""
+    """Means over steps of the total sent load, the total overflow and the
+    population std of load across paths, each summed in step order."""
     records = telemetry.records
     if not records:
         raise ValueError("telemetry has no records")
@@ -49,16 +48,19 @@ def _step_means(telemetry: Telemetry) -> tuple[float, float, float]:
         loads, overflows = record.loads, record.overflows
         step = seen.get(id(loads))
         if step is None or step[3] is not overflows:
-            paths, total, deviation = len(loads), sum(loads), 0
-            mean = total / paths
+            total = lost = deviation = 0
+            for v in loads:
+                total += v
+            for v in overflows:
+                lost += v
+            mean = total / len(loads)
             try:
                 for v in loads:
                     deviation += (v - mean) ** 2
             except OverflowError:
                 raise ValueError(f"oscillation is not finite: the load spread of step "
                                  f"{record.step} overflows") from None
-            step = seen[id(loads)] = (total, sum(overflows),
-                                      math.sqrt(deviation / paths), overflows)
+            step = seen[id(loads)] = total, lost, math.sqrt(deviation / len(loads)), overflows
         sent, overflow, spread = sent + step[0], overflow + step[1], spread + step[2]
     steps = len(records)
     return sent / steps, overflow / steps, spread / steps
@@ -94,27 +96,25 @@ def loss_avoidance(loss_mbps: float) -> float:
 
 
 def jain_fairness(final_cwnds: Sequence[float]) -> float:
-    """Jain's index (sum x)^2 / (n * sum x^2), from 1/n up to 1.0. The sum
-    of squares adds x * x value by value, but each leading run of two or
-    more equal values whose square is a positive finite float takes one
-    _repeated_add: bit for bit the same additions, in O(log count)."""
+    """Jain's index (sum x)^2 / (n * sum x^2), from 1/n up to 1.0. Both sums
+    add value by value, but a leading run of equal positive values with a
+    finite nonzero float square takes one _repeated_add each: the same floats."""
     if not final_cwnds:
         raise ValueError("need at least one value")
-    runs = []
+    total = square_sum = start = 0
     for v, run in groupby(final_cwnds):
         count, square = len(list(run)), v * v
-        if count == 1 or type(square) is not float or not 0.0 < square < math.inf:
+        if count == 1 or type(square) is not float or not (v > 0 and 0.0 < square < math.inf):
             break
-        runs.append((v, count))
-    rest = final_cwnds[sum(count for _, count in runs):]
-    # a value equal to its run's first is negative only if that one is
-    if any(v < 0 for v, _ in runs) or any(v < 0 for v in rest):
+        total = _repeated_add(total + v, v, count - 1)
+        square_sum = _repeated_add(square_sum + square, square, count - 1)
+        start += count
+    rest = final_cwnds[start:]
+    if any(v < 0 for v in rest):
         raise ValueError("fairness requires nonnegative values")
-    total = sum(final_cwnds)
-    square_sum = 0
-    for v, count in runs:
-        square_sum = _repeated_add(square_sum + v * v, v * v, count - 1)
-    square_sum = sum((v * v for v in rest), square_sum)
+    for v in rest:
+        total += v
+        square_sum += v * v
     # square_sum can underflow to zero for subnormal inputs even when
     # the plain sum does not; both cases are effectively all-zero
     if total == 0 or square_sum == 0:

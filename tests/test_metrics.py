@@ -1,5 +1,7 @@
 import dataclasses
 import math
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -193,6 +195,12 @@ class TestScore:
             score(synthetic([loads], cwnds=cwnds))
 
 
+def plain_sum(values):
+    """The values added one by one in order, uncompensated on every
+    interpreter (sum() compensates floats from CPython 3.12 on)."""
+    return reduce(add, values, 0)
+
+
 def reference_means(telemetry):
     """Efficiency, loss and oscillation as separate passes, each summing
     its per-step values in step order: the formulas score() must equal."""
@@ -200,12 +208,12 @@ def reference_means(telemetry):
     steps = len(records)
 
     def std(values):
-        mean = sum(values) / len(values)
-        return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+        mean = plain_sum(values) / len(values)
+        return math.sqrt(plain_sum((v - mean) ** 2 for v in values) / len(values))
 
-    return (sum(sum(r.loads) for r in records) / steps,
-            sum(sum(r.overflows) for r in records) / steps,
-            sum(std(r.loads) for r in records) / steps)
+    return (plain_sum(plain_sum(r.loads) for r in records) / steps,
+            plain_sum(plain_sum(r.overflows) for r in records) / steps,
+            plain_sum(std(r.loads) for r in records) / steps)
 
 
 SCORED = [(strategy, agents) for strategy in STRATEGY_NAMES for agents in (10, 500)]
@@ -240,6 +248,12 @@ class TestOnePassScore:
         s = score(t)
         assert (s.efficiency, s.loss, s.oscillation) == reference_means(t)
 
+    def test_sums_add_in_order_on_every_interpreter(self):
+        # in order, 1e16 + 1.0 rounds back to 1e16 twice; a compensated
+        # sum (sum() from CPython 3.12 on) would keep the 2.0
+        assert efficiency(synthetic([(1e16, 1.0, 1.0)])) == 1e16
+        assert jain_fairness([1e16, 1.0, 1.0]) == 1e32 / (3 * 1e32)
+
     def test_no_paths_rejected(self):
         with pytest.raises(ValueError, match="no paths"):
             score(synthetic([()]))
@@ -263,8 +277,8 @@ def old_jain(values):
         raise ValueError("need at least one value")
     if any(v < 0 for v in values):
         raise ValueError("fairness requires nonnegative values")
-    total = sum(values)
-    square_sum = sum(v * v for v in values)
+    total = plain_sum(values)
+    square_sum = plain_sum(v * v for v in values)
     if total == 0 or square_sum == 0:
         raise ValueError("undefined fairness: all values are zero")
     return (total * total) / (len(values) * square_sum)
