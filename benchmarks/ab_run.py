@@ -10,8 +10,11 @@ working tree). Both packages are imported into this interpreter under
 their own names. Every round times each cell on both sides back to
 back, alternating which side goes first, so a slow spell of the host
 slows both samples of a pair. A sample is the fastest of enough calls
-to fill --min-ms. Per cell the JSON gives the median and quartiles over
-rounds of the paired ratio after/before (below 1 is faster), each
+to fill --min-ms, and at least 100 ms for the `run()` cells at
+N = 100,000: at about 1.2 ms a call, their 20 ms samples read median
+ratios up to 1.06-1.08 on identical code, their 100 ms samples
+0.96-1.04 (12 rounds). Per cell the JSON gives the median and quartiles
+over rounds of the paired ratio after/before (below 1 is faster), each
 side's median sample, and whether both sides' outputs are equal. It
 also records nproc, the CPU, the Python version and both commits.
 --only times just the cells whose name contains SUBSTRING (say
@@ -71,6 +74,8 @@ RUN_CELLS = ([("weighted_round_robin", 0.1, n) for n in (10, 25, 50, 100, 150, 5
              + [(name, 0.1, 5000) for name in STRATEGIES]
              + [(name, 0.1, 100_000) for name in SHARED]
              + [("epsilon_greedy", 0.1, 100_000)])
+# the sample floor of the run() cells at N = 100,000, in ms
+LONG_SAMPLE_MS = 100.0
 SCORE_CELLS = ([(name, n) for n in (10, 500) for name in ("min_rtt", "epsilon_greedy")]
                + [(name, n) for n in (2000, 100_000)
                   for name in ("min_rtt", "weighted_round_robin", "epsilon_greedy")]
@@ -133,32 +138,34 @@ def _run_cell(strategy, epsilon, agents):
         return lambda: mpsim.run(config)
     return f"{strategy}[{epsilon}]-{agents}", build, lambda telemetry: (
         [(r.step, r.loads, r.overflows, r.inst_rtts) for r in telemetry.records],
-        telemetry.final_cwnds)
+        telemetry.final_cwnds), LONG_SAMPLE_MS if agents == 100_000 else 0.0
 
 
 def _score_cell(strategy, agents):
     def build(mpsim):
         telemetry = mpsim.run(_config(mpsim, strategy, 0.1, agents))
         return lambda: mpsim.score(telemetry)
-    return f"score:{strategy}-{agents}", build, dataclasses.astuple
+    return f"score:{strategy}-{agents}", build, dataclasses.astuple, 0.0
 
 
 def _emit_cell():
     def build(mpsim):
         rows = mpsim.sweep_agents(_grid(mpsim))
         return lambda: mpsim.emit_summary(rows, raw=True)
-    return "emit_summary:raw-49", build, str
+    return "emit_summary:raw-49", build, str, 0.0
 
 
 def _sweep_cell():
     def build(mpsim):
         spec = _grid(mpsim)
         return lambda: mpsim.sweep_agents(spec)
-    return "sweep_agents:serial-49", build, lambda rows: [dataclasses.astuple(r) for r in rows]
+    return ("sweep_agents:serial-49", build,
+            lambda rows: [dataclasses.astuple(r) for r in rows], 0.0)
 
 
-# each cell is (name, build, output): build(mpsim) makes the call a sample
-# times, and output turns its result into a value compared across sides
+# each cell is (name, build, output, floor): build(mpsim) makes the call a
+# sample times, output turns its result into a value compared across
+# sides, and a sample fills at least max(--min-ms, floor) ms
 CELLS = ([_run_cell(*cell) for cell in RUN_CELLS]
          + [_score_cell(*cell) for cell in SCORE_CELLS] + [_emit_cell(), _sweep_cell()])
 
@@ -202,7 +209,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.min_ms <= 0:
         parser.error("--rounds and --min-ms must be positive")
-    if not any(args.only in name for name, _, _ in CELLS):
+    if not any(args.only in name for name, _, _, _ in CELLS):
         parser.error(f"no cell name contains {args.only!r}")
 
     with tempfile.TemporaryDirectory() as scratch:
@@ -218,13 +225,13 @@ def _measure(args, scratch):
 
     os.environ.pop("MPSIM_THREADS", None)
     cells = []
-    for name, build, output in CELLS:
+    for name, build, output, floor in CELLS:
         if args.only not in name:
             continue
         calls = [build(side) for side in sides]
         outputs = [output(call()) for call in calls]
         once = max(_sample(call, 1) for call in calls)
-        repeats = max(1, round(args.min_ms / max(once, 1e-3)))
+        repeats = max(1, round(max(args.min_ms, floor) / max(once, 1e-3)))
         cells.append((name, calls, repeats, outputs[0] == outputs[1], [[], []]))
 
     for index in range(args.rounds):

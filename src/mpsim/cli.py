@@ -86,8 +86,9 @@ def cmd_run(args) -> int:
 
 
 def _refuse_unread_flags(args) -> None:
-    """Refuse a flag that the chosen sweep mode would leave unread; the
-    mode-specific options default to None, so a given one shows."""
+    """Refuse a flag that the chosen sweep mode would leave unread, and
+    --epsilon when no swept strategy is epsilon_greedy; the mode-specific
+    options default to None, so a given one shows."""
     if args.epsilon_grid is not None:
         unread = ("strategies", "agents_list", "all_strategies", "epsilon", "format")
         reason = "does not apply with --epsilon-grid"
@@ -95,6 +96,9 @@ def _refuse_unread_flags(args) -> None:
         unread, reason = ("agents",), "applies only with --epsilon-grid; use --agents-list"
         if args.strategies is not None and args.all_strategies:
             raise ValueError("--all-strategies cannot be combined with --strategies")
+        if (args.epsilon is not None and args.strategies is not None
+                and "epsilon_greedy" not in args.strategies):
+            raise ValueError("--epsilon applies only when epsilon_greedy is swept")
     for dest in unread:
         if getattr(args, dest) is not None:
             raise ValueError(f"--{dest.replace('_', '-')} {reason}")

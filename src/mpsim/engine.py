@@ -19,6 +19,16 @@ path's outcome to its list, so the AIMD update is one loop for every
 strategy. On a lost path it skips the windows already at the floor:
 beta * floor < floor, so the clamp would write the floor back.
 
+A path without senders skips that arithmetic. Windows are positive, so
+its load is exactly 0.0: its overflow 0.0 - capacity is negative and
+recorded as 0.0, and its queue term is not positive, so its RTT is the
+base RTT plus 0.0, the base RTT as a float. The pass writes those two
+values, the same floats. The constants a step reads of its config (the
+capacities and base RTTs, the rule, attribute-aware's tags, the AIMD
+and engine floats) are derived on first use and cached on the config
+(`SimConfig._constants`). Records are slotted frozen dataclasses whose
+slots step() fills through their descriptors.
+
 Layouts: run() lays the N agents out as S states, each standing for
 `count` agents that share a window and a choice; agents that start
 equal and always choose alike stay identical. Weighted round robin
@@ -82,6 +92,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .strategy import (
     StrategyKind,
@@ -210,8 +221,26 @@ class SimConfig:
             raise TypeError("forbidden_tags must be a collection of str tags")
         object.__setattr__(self, "forbidden_tags", tags)
 
+    @cached_property
+    def _constants(self) -> tuple:
+        """What the rules and step() read of this config, derived on first
+        use (the config is frozen, so these are constants of its run): the
+        base RTTs and the per-path tags, which the rules read as [0] and
+        [1], then in step()'s order its rule (None for weighted round
+        robin), whether it draws (epsilon-greedy at epsilon > 0), epsilon,
+        mbps_per_cwnd, the capacities, the base RTTs as floats (the RTTs
+        of paths that carry no load) and the AIMD and engine constants."""
+        strategy, aimd, engine, paths = self.strategy, self.aimd, self.engine, self.topology.paths
+        return (
+            tuple(path.base_rtt_ms for path in paths), tuple(path.attributes for path in paths),
+            _SHARED_CHOICE.get(strategy.name),
+            strategy.name == "epsilon_greedy" and strategy.epsilon > 0, strategy.epsilon,
+            aimd.mbps_per_cwnd, self.topology.capacities(),
+            tuple(float(path.base_rtt_ms) for path in paths),
+            aimd.alpha, aimd.beta, aimd.cwnd_floor, engine.queue_scale_ms, engine.step_ms)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """Aggregate outcome of one step; overflow_p == max(0, load_p - cap_p)."""
 
@@ -223,21 +252,25 @@ class StepRecord:
 
 def _record(step: int, loads: tuple[float, ...], overflows: tuple[float, ...],
             inst_rtts: tuple[float, ...]) -> StepRecord:
-    """StepRecord(step, loads, overflows, inst_rtts): the four
-    object.__setattr__ calls of the frozen dataclass's __init__, made
-    without its call frame, once per step (1.1 against 1.5 us, 2-vCPU
-    x86_64 host, CPython 3.11.7). Filling the record's __dict__ builds
-    faster still, but a materialized __dict__ doubles the cost of every
-    later attribute read, as score()'s."""
+    """StepRecord(step, loads, overflows, inst_rtts), its four slots
+    filled through their descriptors (the setters the frozen class's
+    __setattr__ would refuse), without the constructor's call frame or
+    object.__setattr__'s name lookups, once per step and once per
+    replayed record: 0.54 against 0.82 us for object.__setattr__ on the
+    unslotted record and 1.0 us for the constructor (medians of 40
+    interleaved samples, 2-vCPU x86_64 host, CPython 3.11.7). A slotted
+    record has no __dict__, so vars() does not apply to it."""
     record = _new_record(StepRecord)
-    _set_field(record, "step", step)
-    _set_field(record, "loads", loads)
-    _set_field(record, "overflows", overflows)
-    _set_field(record, "inst_rtts", inst_rtts)
+    _set_step(record, step)
+    _set_loads(record, loads)
+    _set_overflows(record, overflows)
+    _set_inst_rtts(record, inst_rtts)
     return record
 
 
-_new_record, _set_field = object.__new__, object.__setattr__
+_new_record = object.__new__
+_set_step, _set_loads, _set_overflows, _set_inst_rtts = (
+    StepRecord.__dict__[name].__set__ for name in ("step", "loads", "overflows", "inst_rtts"))
 
 
 @dataclass(frozen=True)
@@ -353,25 +386,36 @@ _by_cwnd = operator.attrgetter("cwnd")
 
 def _rtts(config: SimConfig, prev: StepRecord | None) -> tuple[float, ...]:
     """The previous record's RTTs, the base RTTs at step 0."""
-    return prev.inst_rtts if prev else tuple(path.base_rtt_ms for path in config.topology.paths)
+    return prev.inst_rtts if prev else config._constants[0]
 
 
-# the strategies stepped as cohorts: name -> rule(config, previous
-# record, step index) giving the path every agent takes, under
+# the rules of the strategies stepped as cohorts: rule(config, previous
+# record, step index) gives the path every agent takes, under
 # epsilon-greedy the path its exploiters take. BLEST's filter always
 # keeps the min-RTT path, so it shares min-RTT's rule. At step 0 every
 # load is 0, so min-load takes path 1. The selectors are looked up as
 # module globals on every call, where perfbench's counters wrap them.
 # Round robin's cursors all start at 0 and advance once a step
-_SHARED_CHOICE = {
-    "min_rtt": lambda config, prev, t: select_min_rtt(_rtts(config, prev)),
-    "min_load": lambda config, prev, t: select_min_load(prev.loads) if prev else 1,
-    "attribute_aware": lambda config, prev, t: select_attribute_aware(
-        _rtts(config, prev), [path.attributes for path in config.topology.paths],
-        config.forbidden_tags),
-    "round_robin": lambda config, prev, t: 1 + t % len(config.topology.paths),
-}
-_SHARED_CHOICE["epsilon_greedy"] = _SHARED_CHOICE["blest"] = _SHARED_CHOICE["min_rtt"]
+def _min_rtt(config: SimConfig, prev: StepRecord | None, t: int) -> int:
+    return select_min_rtt(_rtts(config, prev))
+
+
+def _min_load(config: SimConfig, prev: StepRecord | None, t: int) -> int:
+    return select_min_load(prev.loads) if prev else 1
+
+
+def _attribute_aware(config: SimConfig, prev: StepRecord | None, t: int) -> int:
+    return select_attribute_aware(_rtts(config, prev), config._constants[1], config.forbidden_tags)
+
+
+def _round_robin(config: SimConfig, prev: StepRecord | None, t: int) -> int:
+    return 1 + t % len(config.topology.paths)
+
+
+# name -> rule. Functions, not lambdas: a config's _constants holds its
+# rule, and a lambda would not pickle
+_SHARED_CHOICE = {"min_rtt": _min_rtt, "min_load": _min_load, "attribute_aware": _attribute_aware,
+                  "round_robin": _round_robin, "epsilon_greedy": _min_rtt, "blest": _min_rtt}
 
 
 def _later_rounds(loads: list[float], agents: list[AgentState], num_agents: int,
@@ -418,25 +462,23 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
     Epsilon-greedy's list ends the step as the new cohorts. The step
     index follows `prev_record`'s."""
     t = 0 if prev_record is None else prev_record.step + 1
-    strategy = config.strategy
-    aimd = config.aimd
-    mbps_per_cwnd = aimd.mbps_per_cwnd
-    paths = config.topology.paths
-    loads = [0.0] * len(paths)
+    (_, _, rule, draws, epsilon, mbps_per_cwnd, capacities, idle_rtts,
+     alpha, beta, floor, queue_scale, step_ms) = config._constants
+    path_count = len(capacities)
+    loads = [0.0] * path_count
 
-    name = strategy.name
-    if (rng is not None) != (name == "epsilon_greedy" and strategy.epsilon > 0):
+    if (rng is not None) != draws:
         raise ValueError("epsilon_greedy needs the run's rng" if rng is None
                          else "only epsilon_greedy at epsilon > 0 draws from an rng")
     # each path's states in agent order (path ids run 1..P in topology
     # order); the path pass applies the path's outcome to them
-    if name == "weighted_round_robin":
+    if rule is None:
         if not schedule:
             raise ValueError("weighted_round_robin needs its non-empty wrr_schedule")
         # state k's cursor starts at slot k and advances once a step
         # through the smooth schedule
         period = len(schedule)
-        members = [[] for _ in paths]
+        members = [[] for _ in capacities]
         for k, agent in enumerate(agents):
             path = schedule[(k + t) % period]
             agent.chosen_path = path
@@ -447,7 +489,7 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
     else:
         if schedule is not None:
             raise ValueError("only weighted_round_robin takes a wrr_schedule")
-        choice = _SHARED_CHOICE[name](config, prev_record, t)
+        choice = rule(config, prev_record, t)
         if rng is None:
             # cohorts that never draw: all take the rule's path, in cohort order
             total = 0.0
@@ -455,12 +497,12 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
                 agent.chosen_path = choice
                 total = _repeated_add(total, agent.cwnd * mbps_per_cwnd, agent.count)
             loads[choice - 1] = total
-            members = [()] * len(paths)
+            members = [()] * path_count
             members[choice - 1] = agents
         else:
             # the rule's path is the one the exploiters take
             exploit = choice - 1
-            epsilon, path_count = strategy.epsilon, len(paths)
+            last_path = path_count - 1
             uniform, getrandbits = rng.random, rng.getrandbits
             # a singleton's explored index is rng.randrange(path_count), drawn
             # as CPython's Random._randbelow_with_getrandbits draws it (same
@@ -469,7 +511,7 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
             # a loop, not a comprehension: CPython 3.11 calls a comprehension
             # as a function, about 0.2 us a step here
             members = []
-            for _ in paths:
+            for _ in capacities:
                 members.append([])
             add_exploiter = members[exploit].append
             born = []
@@ -493,7 +535,8 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
                     continue
                 # Bin(count, epsilon) explorers, spread over the paths in path
                 # order by Bin(left, 1 / paths left), a multinomial of equal
-                # cells (p = 1 on the last path takes the rest); the exploiters
+                # cells; the last path takes the rest, which is what its
+                # Bin(left, 1) would return without a draw. The exploiters
                 # join the min-RTT path's share
                 count = agent.count
                 load = agent.cwnd * mbps_per_cwnd
@@ -505,7 +548,8 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
                     continue
                 state = agent
                 for path in range(path_count):
-                    share = left and binomialvariate(uniform, left, 1.0 / (path_count - path))
+                    share = (left if path == last_path
+                             else left and binomialvariate(uniform, left, 1.0 / (path_count - path)))
                     left -= share
                     if path == exploit:
                         share += count - explorers
@@ -524,28 +568,32 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
                     state = None
             loads[exploit] = exploit_load
 
-    # one pass over the paths, which also applies the AIMD update. The
-    # RTT is the base RTT plus a queueing term above capacity, with max
-    # and min spelled as comparisons (the topology and EngineParams have
-    # already validated its inputs); queue delay follows the traffic the
-    # path actually carries, so shed overload does not keep adding delay.
+    # one pass over the paths, which also applies the AIMD update. A path
+    # without senders keeps overflow 0.0 and its base RTT as a float, what
+    # the arithmetic below gives at load 0.0 (see the module docstring).
+    # On a path with senders the RTT is the base RTT plus a queueing term
+    # above capacity, with max and min spelled as comparisons (the
+    # topology and EngineParams have already validated its inputs); queue
+    # delay follows the traffic the path actually carries, so shed
+    # overload does not keep adding delay.
     # Any positive overflow gives every sender on that path a positive
     # pro-rata share, so the loss flag needs no per-agent division: its
     # senders halve, clamped at the floor. A loss-free path grows each
     # of its windows by the same increment, alpha per RTT
-    queue_scale, step_ms, alpha = config.engine.queue_scale_ms, config.engine.step_ms, aimd.alpha
-    floor, beta = aimd.cwnd_floor, aimd.beta
-    overflows = []
-    inst_rtts = []
-    for path, load, senders in zip(paths, loads, members):
-        capacity = path.capacity_mbps
+    overflows = [0.0] * path_count
+    inst_rtts = list(idle_rtts)
+    for i, senders in enumerate(members):
+        if not senders:
+            continue
+        capacity = capacities[i]
+        load = loads[i]
         excess = load - capacity
         delivered = capacity if capacity < load else load
         queue = queue_scale * (delivered / capacity - 1.0)
-        rtt = path.base_rtt_ms + (queue if queue > 0.0 else 0.0)
-        inst_rtts.append(rtt)
+        rtt = idle_rtts[i] + (queue if queue > 0.0 else 0.0)
+        inst_rtts[i] = rtt
         if excess > 0.0:
-            overflows.append(excess)
+            overflows[i] = excess
             # beta * floor < floor: a window at the floor stays there,
             # one below it (an initial_cwnd under the floor) is lifted
             for agent in senders:
@@ -553,7 +601,6 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
                     cwnd = beta * agent.cwnd
                     agent.cwnd = cwnd if cwnd > floor else floor
         else:
-            overflows.append(0.0)
             increment = alpha * (step_ms / rtt)
             for agent in senders:
                 agent.cwnd += increment

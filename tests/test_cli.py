@@ -180,6 +180,7 @@ class TestSweep:
         (["--all-strategies", "--agents", "0"], "--agents"),
         (["--all-strategies", "--strategies", "min_rtt"], "--all-strategies"),
         (["--all-strategies", "--format", "markdown", "--raw"], "--raw"),
+        (["--strategies", "min_rtt", "--agents-list", "10", "--epsilon", "0.7"], "--epsilon"),
     ])
     def test_flag_the_mode_ignores_exits_2(self, capsys, args, flag):
         code = run_cli(["sweep", "--steps", "2", *args])
@@ -187,6 +188,19 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {flag} ")
+
+    # the default set and --all-strategies sweep epsilon_greedy, which reads --epsilon
+    @pytest.mark.parametrize("grid", [[], ["--all-strategies"],
+                                      ["--strategies", "min_rtt,epsilon_greedy"]])
+    def test_epsilon_applies_when_epsilon_greedy_is_swept(self, capsys, grid):
+        rows = {}
+        for epsilon in ([], ["--epsilon", "0.7"]):
+            code = run_cli(["sweep", "--agents-list", "10", "--steps", "20", *grid, *epsilon])
+            assert code == 0
+            rows[bool(epsilon)] = dict(line.split(",", 1) for line in
+                                       capsys.readouterr().out.strip().split("\n")[1:])
+        assert rows[True]["epsilon_greedy"] != rows[False]["epsilon_greedy"]
+        assert rows[True]["min_rtt"] == rows[False]["min_rtt"]
 
     def test_markdown_format(self, capsys):
         code = run_cli(["sweep", "--strategies", "blest", "--agents-list", "10",

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 from functools import partial
 
@@ -935,16 +937,17 @@ class TestOneUpdateLoop:
 
 
 class TestRecords:
-    # step() builds each StepRecord by setting its fields itself, past the
-    # frozen dataclass's __init__: a field added to StepRecord must fail
-    # here
+    # step() and run()'s replay build each StepRecord by filling its slots
+    # themselves, past the frozen dataclass's __init__. astuple reads every
+    # field, and an unset slot raises AttributeError: a field added to
+    # StepRecord and left unset by _record must fail here
     def test_record_equals_the_constructed_record(self):
         fields = (7, (1.0, 2.5), (0.0, 0.5), (20.0, 50.0))
         record = _record(*fields)
         built = StepRecord(*fields)
         assert record == built and hash(record) == hash(built)
-        assert vars(record) == vars(built)
-        assert [field.name for field in dataclasses.fields(StepRecord)] == list(vars(record))
+        assert dataclasses.astuple(record) == dataclasses.astuple(built) == fields
+        assert not hasattr(record, "__dict__")
         assert dataclasses.replace(record, step=8) == StepRecord(8, *fields[1:])
         with pytest.raises(dataclasses.FrozenInstanceError):
             record.step = 9
@@ -952,8 +955,60 @@ class TestRecords:
     @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
     def test_run_records_equal_the_constructed_records(self, strategy):
         for record in run(config(strategy, agents=30, steps=40)).records:
-            assert vars(record) == vars(StepRecord(record.step, record.loads, record.overflows,
-                                                   record.inst_rtts))
+            built = StepRecord(record.step, record.loads, record.overflows, record.inst_rtts)
+            assert dataclasses.astuple(record) == dataclasses.astuple(built)
+            assert record == built and hash(record) == hash(built)
+
+    # the telemetry's config holds the constants step() cached on it, its
+    # rule among them
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_records_and_telemetry_survive_pickle_and_deepcopy(self, strategy):
+        telemetry = run(config(strategy, agents=12, steps=6))
+        for value in (telemetry.records[0], telemetry):
+            copies = [copy.deepcopy(value)] + [pickle.loads(pickle.dumps(value, protocol))
+                                               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for duplicate in copies:
+                assert duplicate == value and duplicate is not value
+
+
+# a topology given in int fields: every load, overflow and RTT a step
+# records must still be a float
+INT_PATHS = (PathSpec(1, 50, 20), PathSpec(2, 100, 50),
+             PathSpec(3, 80, 80, frozenset({"high-cost"})))
+
+
+class TestStepShortcuts:
+    # step() gives a path without senders overflow 0.0 and its base RTT
+    # without the path arithmetic, and epsilon-greedy's last path the
+    # explorers left without a draw; both must stay what the oracle's
+    # full arithmetic and draws give
+    @pytest.mark.parametrize("agents", [1, 200])
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_idle_paths_record_zero_and_their_base_rtt(self, strategy, agents):
+        topology = Topology("ints", INT_PATHS)
+        telemetry = run(config(strategy, agents=agents, steps=60, topology=topology))
+        assert oracle_agrees(telemetry)
+        idle = 0
+        for record in telemetry.records:
+            for load, overflow, rtt, path in zip(record.loads, record.overflows,
+                                                 record.inst_rtts, topology.paths):
+                assert type(load) is type(overflow) is type(rtt) is float
+                if load == 0.0:
+                    idle += 1
+                    assert repr(overflow) == "0.0"
+                    assert rtt == float(path.base_rtt_ms)
+        # one agent leaves two of the three paths idle on every step
+        assert idle >= (2 * len(telemetry.records) if agents == 1 else 0)
+
+    # with one path, the only path is the last one
+    @pytest.mark.parametrize("path_count", [1, 2, 5])
+    @pytest.mark.parametrize("epsilon", [0.1, 1.0])
+    def test_epsilon_greedy_last_path_takes_the_rest(self, epsilon, path_count):
+        topology = Topology("ints", tuple(PathSpec(i, 20 * i, 10 + 7 * i)
+                                          for i in range(1, path_count + 1)))
+        telemetry = run(config("epsilon_greedy", agents=60, steps=80, epsilon=epsilon,
+                               topology=topology))
+        assert oracle_agrees(telemetry)
 
 
 def chi2_sf(stat, dof):
