@@ -252,14 +252,14 @@ class StepRecord:
 
 def _record(step: int, loads: tuple[float, ...], overflows: tuple[float, ...],
             inst_rtts: tuple[float, ...]) -> StepRecord:
-    """StepRecord(step, loads, overflows, inst_rtts), its four slots
-    filled through their descriptors (the setters the frozen class's
-    __setattr__ would refuse), without the constructor's call frame or
-    object.__setattr__'s name lookups, once per step and once per
-    replayed record: 0.54 against 0.82 us for object.__setattr__ on the
-    unslotted record and 1.0 us for the constructor (medians of 40
-    interleaved samples, 2-vCPU x86_64 host, CPython 3.11.7). A slotted
-    record has no __dict__, so vars() does not apply to it."""
+    """StepRecord(step, loads, overflows, inst_rtts) built without the
+    constructor: its four slots are filled through their descriptors,
+    which bypass the frozen class's __setattr__. It builds every computed
+    record and every replayed copy, 0.54 against 0.82 us for the
+    unslotted record's object.__setattr__ calls and 1.0 us for the
+    constructor (medians of 40 interleaved samples, 2-vCPU x86_64 host,
+    CPython 3.11.7). A slotted record has no __dict__, so vars() does
+    not apply to it."""
     record = _new_record(StepRecord)
     _set_step(record, step)
     _set_loads(record, loads)
