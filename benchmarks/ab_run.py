@@ -45,8 +45,7 @@ Cells use the default topology, 300 steps, seed 0 and default AIMD:
 - `emit_summary()` of the raw CSV of the 49 rows of the sweep below,
   built outside the timed call;
 - `sweep_agents()` over the 49-cell reproduction grid (every strategy
-  at the default agent counts), serial: the harness unsets
-  MPSIM_THREADS.
+  at the default agent counts).
 """
 
 import argparse
@@ -223,7 +222,6 @@ def _measure(args, scratch):
     after_src, after_info = _source(args.after, scratch)
     sides = (_load(before_src, "mpsim_before"), _load(after_src, "mpsim_after"))
 
-    os.environ.pop("MPSIM_THREADS", None)
     cells = []
     for name, build, output, floor in CELLS:
         if args.only not in name:

@@ -7,27 +7,29 @@ the senders on that path, and every agent's congestion window reacts
 otherwise). Telemetry records per-step per-path load/overflow/RTT plus
 the final windows; the metrics layer consumes nothing else.
 
+A path's RTT is its base RTT on every step: the delay that queues add
+above capacity follows the load a path carries, which never exceeds
+its capacity, so it is always 0. The RTTs, and with them each path's
+loss-free window increment, alpha per RTT, are constants of the run,
+and every record shares the one tuple of base RTTs as floats.
+
 A step computes once whatever is the same for every agent: the path of
-the strategy's rule in `_SHARED_CHOICE`, read off the previous record's
-RTT or load tuple, and, in one pass over the paths, each path's
-overflow, RTT, loss flag and loss-free window increment. The loops over
-states only pick a path, put the state on that path's list of senders
-and add the window to that path's load in agent order (the same float
-sum as one addition per agent), with no function call per state beyond
-the appends and epsilon-greedy's draws. The path pass then applies each
-path's outcome to its list, so the AIMD update is one loop for every
-strategy. On a lost path it skips the windows already at the floor:
+the strategy's rule in `_SHARED_CHOICE`, read off the base RTTs or the
+previous record's loads, and, in one pass over the paths, each path's
+overflow and loss flag. The loops over states only pick a path, put
+the state on that path's list of senders and add the window to that
+path's load in agent order (the same float sum as one addition per
+agent), with no function call per state beyond the appends and
+epsilon-greedy's draws. The path pass then applies each path's outcome
+to its list, so the AIMD update is one loop for every strategy. On a
+lost path it skips the windows already at the floor:
 beta * floor < floor, so the clamp would write the floor back.
 
-A path without senders skips that arithmetic. Windows are positive, so
-its load is exactly 0.0: its overflow 0.0 - capacity is negative and
-recorded as 0.0, and its queue term is not positive, so its RTT is the
-base RTT plus 0.0, the base RTT as a float. The pass writes those two
-values, the same floats. The constants a step reads of its config (the
-capacities and base RTTs, the rule, attribute-aware's tags, the AIMD
-and engine floats) are derived on first use and cached on the config
-(`SimConfig._constants`). Records are slotted frozen dataclasses whose
-slots step() fills through their descriptors.
+A path without senders skips that arithmetic: its load is exactly 0.0,
+so its overflow is 0.0. The constants a step reads of its config are
+derived on first use and cached on it (`SimConfig._constants`).
+Records are slotted frozen dataclasses whose slots step() fills
+through their descriptors.
 
 Layouts: run() lays the N agents out as S states, each standing for
 `count` agents that share a window and a choice; agents that start
@@ -46,9 +48,9 @@ Every other strategy keeps its agents as cohorts: the distinct windows
 with their agent counts, in ascending window order (agents with equal
 windows are exchangeable). Its rule gives the path every agent takes,
 a function of the previous record and the step index t: min-RTT (and
-BLEST, whose filter always keeps the min-RTT path), min-load and
-attribute-aware read the record, and round robin's cursors all start
-at 0, so every agent picks path 1 + t mod P; their N agents stay one
+BLEST, whose filter always keeps the min-RTT path) and attribute-aware
+read the base RTTs, min-load the record, and round robin's cursors all
+start at 0, so every agent picks path 1 + t mod P; the N agents stay one
 cohort. Epsilon-greedy's rule is min-RTT's, the path its exploiters
 take; at epsilon > 0 some agents explore, all drawing from one stream
 per run. Each step a cohort of k agents draws X ~ Bin(k, epsilon)
@@ -66,7 +68,7 @@ cohorts, most agents sitting on the floor.
 
 Recurrence: a greedy herd settles into a fixed point or a short cycle,
 and run() then stops recomputing it. Step t reads only the states'
-windows, the previous record's loads (its RTTs are a function of
+windows, the previous record's loads (min-load's rule reads
 them), the step index through the cursors' t mod phase (the schedule
 length L for weighted round robin, the path count P otherwise) and
 `chosen_path`, which it writes before it reads it. So once that state
@@ -166,6 +168,9 @@ class AimdParams:
 
 @dataclass(frozen=True)
 class EngineParams:
+    """`queue_scale_ms` has no effect (see the module docstring); it stays,
+    validated, while perfbench/checks.py passes it to the oracle."""
+
     steps: int = DEFAULT_STEPS
     step_ms: float = 10.0
     queue_scale_ms: float = 10.0
@@ -225,19 +230,19 @@ class SimConfig:
     def _constants(self) -> tuple:
         """What the rules and step() read of this config, derived on first
         use (the config is frozen, so these are constants of its run): the
-        base RTTs and the per-path tags, which the rules read as [0] and
-        [1], then in step()'s order its rule (None for weighted round
-        robin), whether it draws (epsilon-greedy at epsilon > 0), epsilon,
-        mbps_per_cwnd, the capacities, the base RTTs as floats (the RTTs
-        of paths that carry no load) and the AIMD and engine constants."""
-        strategy, aimd, engine, paths = self.strategy, self.aimd, self.engine, self.topology.paths
+        base RTTs as floats, which every record holds, and the per-path
+        tags, which the rules read as [0] and [1], then in step()'s order
+        its rule (None for weighted round robin), whether it draws
+        (epsilon-greedy at epsilon > 0), epsilon, mbps_per_cwnd, the
+        capacities, each path's loss-free increment, beta and the floor."""
+        strategy, aimd, paths = self.strategy, self.aimd, self.topology.paths
+        rtts = tuple(float(path.base_rtt_ms) for path in paths)
         return (
-            tuple(path.base_rtt_ms for path in paths), tuple(path.attributes for path in paths),
-            _SHARED_CHOICE.get(strategy.name),
+            rtts, tuple(path.attributes for path in paths), _SHARED_CHOICE.get(strategy.name),
             strategy.name == "epsilon_greedy" and strategy.epsilon > 0, strategy.epsilon,
             aimd.mbps_per_cwnd, self.topology.capacities(),
-            tuple(float(path.base_rtt_ms) for path in paths),
-            aimd.alpha, aimd.beta, aimd.cwnd_floor, engine.queue_scale_ms, engine.step_ms)
+            tuple(aimd.alpha * (self.engine.step_ms / rtt) for rtt in rtts),
+            aimd.beta, aimd.cwnd_floor)
 
 
 @dataclass(frozen=True, slots=True)
@@ -384,20 +389,16 @@ def binomialvariate(random, n: int, p: float) -> int:
 _by_cwnd = operator.attrgetter("cwnd")
 
 
-def _rtts(config: SimConfig, prev: StepRecord | None) -> tuple[float, ...]:
-    """The previous record's RTTs, the base RTTs at step 0."""
-    return prev.inst_rtts if prev else config._constants[0]
-
-
 # the rules of the strategies stepped as cohorts: rule(config, previous
 # record, step index) gives the path every agent takes, under
-# epsilon-greedy the path its exploiters take. BLEST's filter always
-# keeps the min-RTT path, so it shares min-RTT's rule. At step 0 every
-# load is 0, so min-load takes path 1. The selectors are looked up as
-# module globals on every call, where perfbench's counters wrap them.
+# epsilon-greedy the path its exploiters take. Min-RTT and
+# attribute-aware rank the base RTTs, every step's RTTs. BLEST's filter
+# always keeps the min-RTT path, so it shares min-RTT's rule. At step 0
+# every load is 0, so min-load takes path 1. The selectors are looked up
+# as module globals on every call, where perfbench's counters wrap them.
 # Round robin's cursors all start at 0 and advance once a step
 def _min_rtt(config: SimConfig, prev: StepRecord | None, t: int) -> int:
-    return select_min_rtt(_rtts(config, prev))
+    return select_min_rtt(config._constants[0])
 
 
 def _min_load(config: SimConfig, prev: StepRecord | None, t: int) -> int:
@@ -405,7 +406,7 @@ def _min_load(config: SimConfig, prev: StepRecord | None, t: int) -> int:
 
 
 def _attribute_aware(config: SimConfig, prev: StepRecord | None, t: int) -> int:
-    return select_attribute_aware(_rtts(config, prev), config._constants[1], config.forbidden_tags)
+    return select_attribute_aware(*config._constants[:2], config.forbidden_tags)
 
 
 def _round_robin(config: SimConfig, prev: StepRecord | None, t: int) -> int:
@@ -462,8 +463,8 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
     Epsilon-greedy's list ends the step as the new cohorts. The step
     index follows `prev_record`'s."""
     t = 0 if prev_record is None else prev_record.step + 1
-    (_, _, rule, draws, epsilon, mbps_per_cwnd, capacities, idle_rtts,
-     alpha, beta, floor, queue_scale, step_ms) = config._constants
+    (rtts, _, rule, draws, epsilon, mbps_per_cwnd, capacities, increments,
+     beta, floor) = config._constants
     path_count = len(capacities)
     loads = [0.0] * path_count
 
@@ -569,29 +570,17 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
             loads[exploit] = exploit_load
 
     # one pass over the paths, which also applies the AIMD update. A path
-    # without senders keeps overflow 0.0 and its base RTT as a float, what
-    # the arithmetic below gives at load 0.0 (see the module docstring).
-    # On a path with senders the RTT is the base RTT plus a queueing term
-    # above capacity, with max and min spelled as comparisons (the
-    # topology and EngineParams have already validated its inputs); queue
-    # delay follows the traffic the path actually carries, so shed
-    # overload does not keep adding delay.
+    # without senders keeps overflow 0.0, what the arithmetic below gives
+    # at load 0.0 (see the module docstring).
     # Any positive overflow gives every sender on that path a positive
     # pro-rata share, so the loss flag needs no per-agent division: its
     # senders halve, clamped at the floor. A loss-free path grows each
-    # of its windows by the same increment, alpha per RTT
+    # of its windows by the path's increment, alpha per base RTT
     overflows = [0.0] * path_count
-    inst_rtts = list(idle_rtts)
     for i, senders in enumerate(members):
         if not senders:
             continue
-        capacity = capacities[i]
-        load = loads[i]
-        excess = load - capacity
-        delivered = capacity if capacity < load else load
-        queue = queue_scale * (delivered / capacity - 1.0)
-        rtt = idle_rtts[i] + (queue if queue > 0.0 else 0.0)
-        inst_rtts[i] = rtt
+        excess = loads[i] - capacities[i]
         if excess > 0.0:
             overflows[i] = excess
             # beta * floor < floor: a window at the floor stays there,
@@ -601,7 +590,7 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
                     cwnd = beta * agent.cwnd
                     agent.cwnd = cwnd if cwnd > floor else floor
         else:
-            increment = alpha * (step_ms / rtt)
+            increment = increments[i]
             for agent in senders:
                 agent.cwnd += increment
 
@@ -624,7 +613,7 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
                 break
             last = state.cwnd
 
-    return _record(t, tuple(loads), tuple(overflows), tuple(inst_rtts))
+    return _record(t, tuple(loads), tuple(overflows), rtts)
 
 
 def run(config: SimConfig) -> Telemetry:

@@ -4,9 +4,8 @@ sweep_agents runs a (strategy x agent-count) grid and summarizes each
 cell into one row; sweep_epsilon runs the exploration-factor
 sensitivity line at a fixed agent count. Cells derive independent seeds
 from (sweep seed, strategy label, agents), so results do not depend on
-grid shape or execution order. MPSIM_THREADS > 1 runs the cells of
-either in worker processes; assembly order stays deterministic either
-way.
+grid shape or execution order. Cells run one after another in the
+calling process, in grid order.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import csv
 import hashlib
 import io
 import math
-import os
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
@@ -80,8 +78,8 @@ def cell_seed(seed: int, strategy_label: str, agents: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _run_cell(args) -> SummaryRow:
-    topology, kind, label, agents, steps, seed = args
+def _run_cell(topology: Topology, kind: StrategyKind, label: str, agents: int, steps: int,
+              seed: int) -> SummaryRow:
     config = SimConfig(
         topology=topology,
         strategy=kind,
@@ -92,52 +90,20 @@ def _run_cell(args) -> SummaryRow:
     return SummaryRow(kind.name, agents, *_summary_scores(score(run(config))))
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("MPSIM_THREADS", "").strip()
-    if not raw:
-        return 1
-    invalid = f"MPSIM_THREADS must be a non-negative integer, got {raw!r}"
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(invalid) from None
-    if n < 0:
-        raise ValueError(invalid)
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
-
-
-def _run_cells(cells: list[tuple]) -> list[SummaryRow]:
-    """One row per cell, in cell order; in worker processes when
-    MPSIM_THREADS asks for more than one."""
-    workers = _worker_count()
-    if workers > 1 and len(cells) > 1:
-        # imported here: it loads multiprocessing, which serial runs never use
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_cell, cells))
-    return [_run_cell(cell) for cell in cells]
-
-
 def sweep_agents(spec: SweepSpec) -> list[SummaryRow]:
     """One row per (strategy, agent count), strategy-major, counts ascending."""
-    return _run_cells([
-        (spec.topology, kind, kind.name, agents, spec.steps, spec.seed)
-        for kind in spec.strategies
-        for agents in sorted(spec.agent_counts)
-    ])
+    return [_run_cell(spec.topology, kind, kind.name, agents, spec.steps, spec.seed)
+            for kind in spec.strategies
+            for agents in sorted(spec.agent_counts)]
 
 
 def sweep_epsilon(epsilons, agents: int, topology: Topology,
                   steps: int = DEFAULT_STEPS, seed: int = 0) -> list[EpsilonPoint]:
     """Efficiency/loss of epsilon-greedy across an exploration grid."""
     epsilons = tuple(epsilons)
-    rows = _run_cells([
-        (topology, StrategyKind("epsilon_greedy", epsilon=eps), f"epsilon_greedy[{eps}]",
-         agents, steps, seed)
-        for eps in epsilons
-    ])
+    rows = [_run_cell(topology, StrategyKind("epsilon_greedy", epsilon=eps),
+                      f"epsilon_greedy[{eps}]", agents, steps, seed)
+            for eps in epsilons]
     return [EpsilonPoint(eps, *_epsilon_scores(row)) for eps, row in zip(epsilons, rows)]
 
 

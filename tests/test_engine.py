@@ -309,8 +309,9 @@ class TestAgainstOracle:
 
 
 class TestInlinedPathPass:
-    # step() computes each path's RTT and window increment inline; both
-    # must stay the arithmetic of the reference's rtt_instantaneous and
+    # step() takes each path's RTT and window increment from per-run
+    # constants, the base RTT and alpha per base RTT; both must stay the
+    # arithmetic of the reference's rtt_instantaneous of carried load and
     # update_cwnd, also off the default step_ms and queue_scale_ms
     ENGINES = [EngineParams(steps=60),
                EngineParams(steps=60, step_ms=3.7, queue_scale_ms=25.0),
@@ -333,6 +334,31 @@ class TestInlinedPathPass:
             assert record.inst_rtts == expected
         assert any(overflow > 0.0 for r in telemetry.records for overflow in r.overflows)
         assert oracle_agrees(telemetry)
+
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_every_record_shares_the_float_base_rtts(self, strategy):
+        # integer base RTTs, so that the shared tuple must be converted
+        topology = Topology("ints", (PathSpec(1, 50, 20), PathSpec(2, 100, 50),
+                                     PathSpec(3, 80, 80, frozenset({"high-cost"}))))
+        telemetry = run(config(strategy, agents=90, steps=60, topology=topology))
+        shared = telemetry.records[0].inst_rtts
+        assert shared == (20.0, 50.0, 80.0)
+        assert all(type(rtt) is float for rtt in shared)
+        assert all(record.inst_rtts is shared for record in telemetry.records)
+        assert any(overflow > 0.0 for r in telemetry.records for overflow in r.overflows)
+
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_queue_scale_has_no_effect(self, strategy):
+        # the queueing delay follows carried load, which never exceeds
+        # capacity, so the scale of that delay changes no output
+        outputs = set()
+        for queue_scale in (0.0, 10.0, 1e6):
+            cfg = dataclasses.replace(
+                config(strategy, agents=90, seed=4),
+                engine=EngineParams(steps=60, queue_scale_ms=queue_scale))
+            telemetry = run(cfg)
+            outputs.add((telemetry.records, telemetry.final_cwnds))
+        assert len(outputs) == 1
 
 
 def paths_topology(path_count):
@@ -480,8 +506,8 @@ class TestStepContract:
     @given(data=st.data(), path_count=st.integers(1, 6))
     def test_rules_take_the_lowest_index_minimum(self, data, path_count):
         # RTTs and loads drawn from a few values, so that ties are
-        # common; the base RTTs (and no load) rank the paths at step 0,
-        # the previous record's RTTs and loads after it
+        # common; the base RTTs rank the paths at every step, no load at
+        # step 0 and the previous record's loads after it
         def column(values):
             return data.draw(st.tuples(*[values] * path_count))
 
@@ -493,24 +519,23 @@ class TestStepContract:
             return best + 1
 
         rtt = st.sampled_from([15.0, 20.0, 20.5, 1e3])
-        base, rtts = column(rtt), column(rtt)
+        base = column(rtt)
         loads = column(st.sampled_from([0.0, 3.5, 3.5000000000000004, 40.0]))
         tags = column(st.sets(st.sampled_from(["high-cost", "metered", "x"]), max_size=2))
         forbidden = data.draw(st.frozensets(st.sampled_from(["high-cost", "metered"])))
         topology = Topology("drawn", tuple(PathSpec(i + 1, 50.0, b, frozenset(t))
                                            for i, (b, t) in enumerate(zip(base, tags))))
         cfg = dataclasses.replace(config(topology=topology), forbidden_tags=forbidden)
-        prev = StepRecord(7, loads, (0.0,) * path_count, rtts)
+        prev = StepRecord(7, loads, (0.0,) * path_count, base)
         every = range(path_count)
         allowed = [i for i in every if not tags[i] & forbidden]
         table = mpsim.engine._SHARED_CHOICE
-        for record, t, ranked_rtts, ranked_loads in ((None, 0, base, (0.0,) * path_count),
-                                                     (prev, 8, rtts, loads)):
-            assert table["min_rtt"](cfg, record, t) == first_minimum(ranked_rtts, every)
+        for record, t, ranked_loads in ((None, 0, (0.0,) * path_count), (prev, 8, loads)):
+            assert table["min_rtt"](cfg, record, t) == first_minimum(base, every)
             assert table["min_load"](cfg, record, t) == first_minimum(ranked_loads, every)
             if allowed:
                 assert (table["attribute_aware"](cfg, record, t)
-                        == first_minimum(ranked_rtts, allowed))
+                        == first_minimum(base, allowed))
             else:
                 with pytest.raises(ValueError, match="no admissible path"):
                     table["attribute_aware"](cfg, record, t)

@@ -25,7 +25,6 @@ from mpsim import (
     sweep_agents,
     sweep_epsilon,
 )
-from mpsim.cli import main
 from mpsim.experiment import SUMMARY_HEADER
 
 STEPS = 40  # grid behavior, not absolute scores, is under test here
@@ -87,34 +86,9 @@ class TestSweepAgents:
             small_spec(agent_counts=())
 
 
-class TestWorkerCount:
-    @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
-    def test_invalid_value_is_rejected_by_name(self, monkeypatch, value):
-        monkeypatch.setenv("MPSIM_THREADS", value)
-        with pytest.raises(ValueError, match=f"MPSIM_THREADS.*{value}"):
-            sweep_agents(small_spec(agent_counts=(10,)))
-
-    def test_epsilon_sweep_rejects_invalid_value(self, monkeypatch):
-        monkeypatch.setenv("MPSIM_THREADS", "abc")
-        with pytest.raises(ValueError, match="MPSIM_THREADS.*abc"):
-            sweep_epsilon((0.0, 0.1), 10, default_topology(), steps=5)
-
-    def test_epsilon_sweep_invalid_value_exits_2_from_cli(self, monkeypatch, capsys):
-        monkeypatch.setenv("MPSIM_THREADS", "abc")
-        assert main(["sweep", "--epsilon-grid", "0,0.1", "--agents", "10",
-                     "--steps", "5"]) == 2
-        assert "MPSIM_THREADS" in capsys.readouterr().err
-
-    def test_invalid_value_exits_2_from_cli(self, monkeypatch, capsys):
-        monkeypatch.setenv("MPSIM_THREADS", "-3")
-        assert main(["sweep", "--strategies", "min_rtt", "--agents-list", "10",
-                     "--steps", "5"]) == 2
-        assert "MPSIM_THREADS" in capsys.readouterr().err
-
-
 def test_import_loads_no_process_pool():
-    # serial runs never use the pool, so importing mpsim must not pay for
-    # concurrent.futures and multiprocessing
+    # mpsim runs its cells in the calling process, so importing it must
+    # not pay for concurrent.futures and multiprocessing
     code = ("import sys, mpsim, mpsim.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
