@@ -26,10 +26,14 @@ Cells use the default topology, 300 steps, seed 0 and default AIMD:
   epsilon 0.1 with N = 25, 50, 100 and 250 and at epsilon 0.3 with
   N = 500, min_rtt and round robin at N = 10
   and 500, min_rtt at N = 25 and min_load at N = 50, min_load,
-  attribute_aware and blest at N = 10 (cells that never recur, so the
-  rule runs every step); every strategy at
+  attribute_aware and blest at N = 10 (cells that never recur, so
+  run() computes every step: min-load's rule runs on each, while
+  attribute-aware's and blest's path is chosen once per config); every
+  strategy at
   N = 5000, and at N = 100,000 the five that run() steps as one state
-  and epsilon-greedy at epsilon 0.1, stepped as cohorts.
+  and epsilon-greedy at epsilon 0.1, stepped as cohorts. Each cell
+  reuses one config, whose per-run constants (`SimConfig._constants`,
+  the constant rules' path among them) its untimed first call derives.
   A run without an rng stops stepping once its state recurs (see
   mpsim.engine): the N = 10 cells never recur and pay only the check,
   min_rtt at N = 25 recurs with a 154-step cycle that the check cannot

@@ -41,9 +41,12 @@ def _load_topology(path: str | None):
 def _write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output file: {exc}") from None
 
 
 def _int_list(raw: str) -> tuple[int, ...]:

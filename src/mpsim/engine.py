@@ -13,9 +13,12 @@ its capacity, so it is always 0. The RTTs, and with them each path's
 loss-free window increment, alpha per RTT, are constants of the run,
 and every record shares the one tuple of base RTTs as floats.
 
-A step computes once whatever is the same for every agent: the path of
-the strategy's rule in `_SHARED_CHOICE`, read off the base RTTs or the
-previous record's loads, and, in one pass over the paths, each path's
+The constants a step reads of its config are derived on first use and
+cached on it (`SimConfig._constants`), among them the path of a rule in
+`_SHARED_CHOICE` that ranks only the base RTTs (min-RTT's and
+attribute-aware's). A step computes once whatever else is the same for
+every agent: the path of a rule that reads the previous record's loads
+or the step index, and, in one pass over the paths, each path's
 overflow and loss flag. The loops over states only pick a path, put
 the state on that path's list of senders and add the window to that
 path's load in agent order (the same float sum as one addition per
@@ -25,11 +28,10 @@ to its list, so the AIMD update is one loop for every strategy. On a
 lost path it skips the windows already at the floor:
 beta * floor < floor, so the clamp would write the floor back.
 
-A path without senders skips that arithmetic: its load is exactly 0.0,
-so its overflow is 0.0. The constants a step reads of its config are
-derived on first use and cached on it (`SimConfig._constants`).
-Records are slotted frozen dataclasses whose slots step() fills
-through their descriptors.
+The path pass skips a path without senders: its load is exactly 0.0,
+so its overflow is 0.0. Where every state takes the rule's path, it
+visits only that path. Records are slotted frozen dataclasses whose
+slots step() fills through their descriptors.
 
 Layouts: run() lays the N agents out as S states, each standing for
 `count` agents that share a window and a choice; agents that start
@@ -228,17 +230,20 @@ class SimConfig:
 
     @cached_property
     def _constants(self) -> tuple:
-        """What the rules and step() read of this config, derived on first
-        use (the config is frozen, so these are constants of its run): the
-        base RTTs as floats, which every record holds, and the per-path
-        tags, which the rules read as [0] and [1], then in step()'s order
-        its rule (None for weighted round robin), whether it draws
-        (epsilon-greedy at epsilon > 0), epsilon, mbps_per_cwnd, the
-        capacities, each path's loss-free increment, beta and the floor."""
+        """What step() reads of this config, derived on first use (the
+        config is frozen, so these are constants of its run), in step()'s
+        order: the base RTTs as floats, which every record holds; the path
+        of a rule that reads only them, or 0; a rule that step() calls
+        every step, or None (both 0 and None for weighted round robin);
+        whether it draws (epsilon-greedy at epsilon > 0), epsilon,
+        mbps_per_cwnd, the capacities, each path's loss-free increment,
+        beta and the floor. Attribute-aware's rule raises here, on the
+        run's first step, when every path is forbidden."""
         strategy, aimd, paths = self.strategy, self.aimd, self.topology.paths
         rtts = tuple(float(path.base_rtt_ms) for path in paths)
+        rule, constant = _SHARED_CHOICE.get(strategy.name, (None, False))
         return (
-            rtts, tuple(path.attributes for path in paths), _SHARED_CHOICE.get(strategy.name),
+            rtts, rule(self, rtts) if constant else 0, None if constant else rule,
             strategy.name == "epsilon_greedy" and strategy.epsilon > 0, strategy.epsilon,
             aimd.mbps_per_cwnd, self.topology.capacities(),
             tuple(aimd.alpha * (self.engine.step_ms / rtt) for rtt in rtts),
@@ -389,34 +394,39 @@ def binomialvariate(random, n: int, p: float) -> int:
 _by_cwnd = operator.attrgetter("cwnd")
 
 
-# the rules of the strategies stepped as cohorts: rule(config, previous
-# record, step index) gives the path every agent takes, under
-# epsilon-greedy the path its exploiters take. Min-RTT and
-# attribute-aware rank the base RTTs, every step's RTTs. BLEST's filter
-# always keeps the min-RTT path, so it shares min-RTT's rule. At step 0
-# every load is 0, so min-load takes path 1. The selectors are looked up
-# as module globals on every call, where perfbench's counters wrap them.
-# Round robin's cursors all start at 0 and advance once a step
-def _min_rtt(config: SimConfig, prev: StepRecord | None, t: int) -> int:
-    return select_min_rtt(config._constants[0])
+# the rules of the strategies stepped as cohorts give the path every
+# agent takes, under epsilon-greedy the path its exploiters take.
+# Min-RTT and attribute-aware rank the base RTTs, every step's RTTs, so
+# SimConfig._constants calls them once per config: rule(config, base
+# RTTs). BLEST's filter always keeps the min-RTT path, so it shares
+# min-RTT's rule. step() calls the others every step: rule(config,
+# previous record, step index). At step 0 every load is 0, so min-load
+# takes path 1; round robin's cursors all start at 0 and advance once a
+# step. The selectors are looked up as module globals where they are
+# called, where perfbench's counters wrap them
+def _min_rtt(config: SimConfig, rtts: tuple[float, ...]) -> int:
+    return select_min_rtt(rtts)
+
+
+def _attribute_aware(config: SimConfig, rtts: tuple[float, ...]) -> int:
+    return select_attribute_aware(rtts, [path.attributes for path in config.topology.paths],
+                                  config.forbidden_tags)
 
 
 def _min_load(config: SimConfig, prev: StepRecord | None, t: int) -> int:
     return select_min_load(prev.loads) if prev else 1
 
 
-def _attribute_aware(config: SimConfig, prev: StepRecord | None, t: int) -> int:
-    return select_attribute_aware(*config._constants[:2], config.forbidden_tags)
-
-
 def _round_robin(config: SimConfig, prev: StepRecord | None, t: int) -> int:
     return 1 + t % len(config.topology.paths)
 
 
-# name -> rule. Functions, not lambdas: a config's _constants holds its
-# rule, and a lambda would not pickle
-_SHARED_CHOICE = {"min_rtt": _min_rtt, "min_load": _min_load, "attribute_aware": _attribute_aware,
-                  "round_robin": _round_robin, "epsilon_greedy": _min_rtt, "blest": _min_rtt}
+# name -> (rule, whether it reads only constants of the run). Functions,
+# not lambdas: a config's _constants holds its per-step rule, and a
+# lambda would not pickle
+_SHARED_CHOICE = {"min_rtt": (_min_rtt, True), "attribute_aware": (_attribute_aware, True),
+                  "epsilon_greedy": (_min_rtt, True), "blest": (_min_rtt, True),
+                  "min_load": (_min_load, False), "round_robin": (_round_robin, False)}
 
 
 def _later_rounds(loads: list[float], agents: list[AgentState], num_agents: int,
@@ -463,7 +473,7 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
     Epsilon-greedy's list ends the step as the new cohorts. The step
     index follows `prev_record`'s."""
     t = 0 if prev_record is None else prev_record.step + 1
-    (rtts, _, rule, draws, epsilon, mbps_per_cwnd, capacities, increments,
+    (rtts, constant_path, rule, draws, epsilon, mbps_per_cwnd, capacities, increments,
      beta, floor) = config._constants
     path_count = len(capacities)
     loads = [0.0] * path_count
@@ -471,9 +481,9 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
     if (rng is not None) != draws:
         raise ValueError("epsilon_greedy needs the run's rng" if rng is None
                          else "only epsilon_greedy at epsilon > 0 draws from an rng")
-    # each path's states in agent order (path ids run 1..P in topology
-    # order); the path pass applies the path's outcome to them
-    if rule is None:
+    # `senders` pairs a path's index (path ids run 1..P in topology order)
+    # with its states in agent order, for the path pass
+    if not (constant_path or rule):
         if not schedule:
             raise ValueError("weighted_round_robin needs its non-empty wrr_schedule")
         # state k's cursor starts at slot k and advances once a step
@@ -487,10 +497,11 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
             loads[path - 1] += agent.cwnd * mbps_per_cwnd
         if len(agents) < config.num_agents:
             _later_rounds(loads, agents, config.num_agents, mbps_per_cwnd)
+        senders = enumerate(members)
     else:
         if schedule is not None:
             raise ValueError("only weighted_round_robin takes a wrr_schedule")
-        choice = rule(config, prev_record, t)
+        choice = constant_path or rule(config, prev_record, t)
         if rng is None:
             # cohorts that never draw: all take the rule's path, in cohort order
             total = 0.0
@@ -498,8 +509,7 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
                 agent.chosen_path = choice
                 total = _repeated_add(total, agent.cwnd * mbps_per_cwnd, agent.count)
             loads[choice - 1] = total
-            members = [()] * path_count
-            members[choice - 1] = agents
+            senders = ((choice - 1, agents),)
         else:
             # the rule's path is the one the exploiters take
             exploit = choice - 1
@@ -568,30 +578,31 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
                         loads[path] = _repeated_add(loads[path], load, share)
                     state = None
             loads[exploit] = exploit_load
+            senders = enumerate(members)
 
-    # one pass over the paths, which also applies the AIMD update. A path
-    # without senders keeps overflow 0.0, what the arithmetic below gives
-    # at load 0.0 (see the module docstring).
+    # one pass over the paths with senders, which also applies the AIMD
+    # update. A path without senders keeps overflow 0.0, what the
+    # arithmetic below gives at load 0.0 (see the module docstring).
     # Any positive overflow gives every sender on that path a positive
     # pro-rata share, so the loss flag needs no per-agent division: its
     # senders halve, clamped at the floor. A loss-free path grows each
     # of its windows by the path's increment, alpha per base RTT
     overflows = [0.0] * path_count
-    for i, senders in enumerate(members):
-        if not senders:
+    for i, states in senders:
+        if not states:
             continue
         excess = loads[i] - capacities[i]
         if excess > 0.0:
             overflows[i] = excess
             # beta * floor < floor: a window at the floor stays there,
             # one below it (an initial_cwnd under the floor) is lifted
-            for agent in senders:
+            for agent in states:
                 if agent.cwnd != floor:
                     cwnd = beta * agent.cwnd
                     agent.cwnd = cwnd if cwnd > floor else floor
         else:
             increment = increments[i]
-            for agent in senders:
+            for agent in states:
                 agent.cwnd += increment
 
     if rng is not None:

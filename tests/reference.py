@@ -77,7 +77,8 @@ def naive_run(paths, strategy, num_agents, steps, seed,
             cursor[i] = i % len(slots)
 
     prev_loads = [0.0] * n_paths
-    prev_rtts = [p["rtt"] for p in paths]
+    # step 0 ranks the base RTTs as floats, as every later step ranks them
+    prev_rtts = [float(p["rtt"]) for p in paths]
     records = []
 
     for t in range(steps):

@@ -131,6 +131,16 @@ class TestRun:
         assert captured.err.startswith(f"error: {quantity} is not finite")
 
 
+    @pytest.mark.parametrize("flag", ["--out", "--timeseries"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, flag):
+        code = run_cli(["run", "--strategy", "min_rtt", "--agents", "3", "--steps", "5",
+                        flag, str(tmp_path / "absent" / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output file: ")
+        assert "Traceback" not in err
+
+
 class TestSweep:
     def test_single_cell(self, capsys):
         code = run_cli(["sweep", "--strategies", "min_rtt", "--agents-list", "10",
@@ -222,6 +232,17 @@ class TestSweep:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+    @pytest.mark.parametrize("mode", [["--strategies", "min_rtt", "--agents-list", "10"],
+                                      ["--epsilon-grid", "0,0.1", "--agents", "10"]])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, mode):
+        out = tmp_path / "absent" / "x.csv"
+        assert run_cli(["sweep", "--steps", "5", *mode, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write output file: ")
+        assert str(out) in captured.err
+
+
 class TestReport:
     def test_rerenders_markdown(self, tmp_path, capsys):
         raw = tmp_path / "results.csv"
@@ -264,6 +285,14 @@ class TestReport:
         code = run_cli(["report", "--in", str(tmp_path / "absent.csv")])
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        raw = tmp_path / "results.csv"
+        assert run_cli(["sweep", "--strategies", "min_rtt", "--agents-list", "10",
+                        "--steps", "10", "--raw", "--out", str(raw)]) == 0
+        code = run_cli(["report", "--in", str(raw), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output file: ")
 
     def test_corrupt_input_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

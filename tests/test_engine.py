@@ -494,20 +494,23 @@ class TestStepContract:
             assert records[k].inst_rtts is source.inst_rtts
 
     def test_shared_choice_table_covers_every_name_but_weighted_round_robin(self):
-        # step() steps every strategy in the table as cohorts, the rule
-        # giving the path every agent takes; epsilon-greedy's exploiters
-        # take min-RTT's
+        # step() steps every strategy in the table as cohorts. The rules
+        # flagged constant read only the base RTTs, so each config calls
+        # them once; epsilon-greedy's exploiters and blest take min-RTT's
+        # path, and min-load and round robin read the record or the step
         table = mpsim.engine._SHARED_CHOICE
         assert set(table) == set(STRATEGY_NAMES) - {"weighted_round_robin"}
-        assert table["epsilon_greedy"] is table["min_rtt"]
-        assert table["blest"] is table["min_rtt"]
+        assert table["epsilon_greedy"] == table["blest"] == table["min_rtt"]
+        assert {name for name, (_, constant) in table.items() if constant} == {
+            "min_rtt", "attribute_aware", "epsilon_greedy", "blest"}
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), path_count=st.integers(1, 6))
     def test_rules_take_the_lowest_index_minimum(self, data, path_count):
         # RTTs and loads drawn from a few values, so that ties are
-        # common; the base RTTs rank the paths at every step, no load at
-        # step 0 and the previous record's loads after it
+        # common. The constant rules' path, chosen once per config from
+        # the base RTTs, carries every step's load in run(); min-load
+        # ranks no load at step 0 and the previous record's loads after it
         def column(values):
             return data.draw(st.tuples(*[values] * path_count))
 
@@ -525,20 +528,55 @@ class TestStepContract:
         forbidden = data.draw(st.frozensets(st.sampled_from(["high-cost", "metered"])))
         topology = Topology("drawn", tuple(PathSpec(i + 1, 50.0, b, frozenset(t))
                                            for i, (b, t) in enumerate(zip(base, tags))))
-        cfg = dataclasses.replace(config(topology=topology), forbidden_tags=forbidden)
-        prev = StepRecord(7, loads, (0.0,) * path_count, base)
         every = range(path_count)
         allowed = [i for i in every if not tags[i] & forbidden]
-        table = mpsim.engine._SHARED_CHOICE
-        for record, t, ranked_loads in ((None, 0, (0.0,) * path_count), (prev, 8, loads)):
-            assert table["min_rtt"](cfg, record, t) == first_minimum(base, every)
-            assert table["min_load"](cfg, record, t) == first_minimum(ranked_loads, every)
-            if allowed:
-                assert (table["attribute_aware"](cfg, record, t)
-                        == first_minimum(base, allowed))
-            else:
+        for name, admissible in (("min_rtt", every), ("blest", every),
+                                 ("epsilon_greedy", every), ("attribute_aware", allowed)):
+            cfg = dataclasses.replace(config(name, agents=3, steps=4, epsilon=0.0,
+                                             topology=topology), forbidden_tags=forbidden)
+            if not admissible:
                 with pytest.raises(ValueError, match="no admissible path"):
-                    table["attribute_aware"](cfg, record, t)
+                    run(cfg)
+                continue
+            path = first_minimum(base, admissible)
+            for record in run(cfg).records:
+                assert [i + 1 for i, load in enumerate(record.loads) if load] == [path]
+        min_load, _ = mpsim.engine._SHARED_CHOICE["min_load"]
+        cfg = config("min_load", topology=topology)
+        prev = StepRecord(7, loads, (0.0,) * path_count, base)
+        assert min_load(cfg, None, 0) == 1
+        assert min_load(cfg, prev, 8) == first_minimum(loads, every)
+
+    # N = 10 never recurs within 300 steps, so run() computes every step
+    @pytest.mark.parametrize("strategy, epsilon, selector, per_step", [
+        ("min_rtt", 0.1, "select_min_rtt", False),
+        ("blest", 0.1, "select_min_rtt", False),
+        ("epsilon_greedy", 0.1, "select_min_rtt", False),
+        ("attribute_aware", 0.1, "select_attribute_aware", False),
+        ("min_load", 0.1, "select_min_load", True),
+    ])
+    def test_selectors_run_once_per_config_or_once_per_computed_step(
+            self, monkeypatch, strategy, epsilon, selector, per_step):
+        real_selector, real_step = getattr(mpsim.engine, selector), mpsim.engine.step
+        calls, steps = [], []
+
+        def counting_selector(*args):
+            calls.append(args)
+            return real_selector(*args)
+
+        def counting_step(*args):
+            steps.append(args)
+            return real_step(*args)
+
+        monkeypatch.setattr(mpsim.engine, selector, counting_selector)
+        monkeypatch.setattr(mpsim.engine, "step", counting_step)
+        cfg = config(strategy, agents=10, epsilon=epsilon)
+        for _ in range(2):
+            assert len(run(cfg).records) == 300
+        run(dataclasses.replace(cfg))
+        assert len(steps) == 3 * 300
+        # min-load takes path 1 at step 0 without ranking
+        assert len(calls) == (3 * 299 if per_step else 2)
 
     @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
     def test_step_by_hand_reproduces_run(self, strategy):
@@ -613,6 +651,14 @@ class TestCohortsAgainstOracle:
         cfg = config("epsilon_greedy", agents=40, steps=40, seed=3, epsilon=epsilon,
                      topology=paths_topology(path_count))
         assert oracle_agrees(run(cfg))
+
+    def test_integer_rtts_equal_as_floats_match_oracle(self):
+        # 2**53 + 1 and 2**53 differ as integers but not as floats: every
+        # step ranks the floats, so the tie goes to the lower path id
+        topology = Topology("big", (PathSpec(1, 50.0, 2**53 + 1), PathSpec(2, 50.0, 2**53)))
+        telemetry = run(config(agents=10, steps=3, topology=topology))
+        assert telemetry.records[0].loads == (10.0, 0.0)
+        assert oracle_agrees(telemetry)
 
     def test_hundred_thousand_agents_smoke(self):
         # one state of count 100,000: invariants hold and the final
