@@ -130,15 +130,12 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {quantity} is not finite")
 
-
     @pytest.mark.parametrize("flag", ["--out", "--timeseries"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, flag):
         code = run_cli(["run", "--strategy", "min_rtt", "--agents", "3", "--steps", "5",
                         flag, str(tmp_path / "absent" / "x.csv")])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot write output file: ")
-        assert "Traceback" not in err
+        assert capsys.readouterr().err.startswith("error: cannot write output file: ")
 
 
 class TestSweep:
@@ -230,7 +227,6 @@ class TestSweep:
     def test_raw_sweep_bytes_are_pinned(self, capsys, args, digest):
         assert run_cli(args) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-
 
     @pytest.mark.parametrize("mode", [["--strategies", "min_rtt", "--agents-list", "10"],
                                       ["--epsilon-grid", "0,0.1", "--agents", "10"]])

@@ -547,16 +547,19 @@ class TestStepContract:
         assert min_load(cfg, None, 0) == 1
         assert min_load(cfg, prev, 8) == first_minimum(loads, every)
 
-    # N = 10 never recurs within 300 steps, so run() computes every step
-    @pytest.mark.parametrize("strategy, epsilon, selector, per_step", [
-        ("min_rtt", 0.1, "select_min_rtt", False),
-        ("blest", 0.1, "select_min_rtt", False),
-        ("epsilon_greedy", 0.1, "select_min_rtt", False),
-        ("attribute_aware", 0.1, "select_attribute_aware", False),
-        ("min_load", 0.1, "select_min_load", True),
+    # N = 10 never recurs within 300 steps, so run() computes every step.
+    # Two runs of one config and one of an equal copy: a constant rule's
+    # selector runs once per config, min-load's on every step but step 0,
+    # which takes path 1 without ranking
+    @pytest.mark.parametrize("strategy, selector, expected", [
+        ("min_rtt", "select_min_rtt", 2),
+        ("blest", "select_min_rtt", 2),
+        ("epsilon_greedy", "select_min_rtt", 2),
+        ("attribute_aware", "select_attribute_aware", 2),
+        ("min_load", "select_min_load", 3 * 299),
     ])
     def test_selectors_run_once_per_config_or_once_per_computed_step(
-            self, monkeypatch, strategy, epsilon, selector, per_step):
+            self, monkeypatch, strategy, selector, expected):
         real_selector, real_step = getattr(mpsim.engine, selector), mpsim.engine.step
         calls, steps = [], []
 
@@ -570,13 +573,12 @@ class TestStepContract:
 
         monkeypatch.setattr(mpsim.engine, selector, counting_selector)
         monkeypatch.setattr(mpsim.engine, "step", counting_step)
-        cfg = config(strategy, agents=10, epsilon=epsilon)
+        cfg = config(strategy, agents=10)
         for _ in range(2):
             assert len(run(cfg).records) == 300
         run(dataclasses.replace(cfg))
         assert len(steps) == 3 * 300
-        # min-load takes path 1 at step 0 without ranking
-        assert len(calls) == (3 * 299 if per_step else 2)
+        assert len(calls) == expected
 
     @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
     def test_step_by_hand_reproduces_run(self, strategy):
