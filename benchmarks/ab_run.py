@@ -11,8 +11,8 @@ their own names. Every round times each cell on both sides back to
 back, alternating which side goes first, so a slow spell of the host
 slows both samples of a pair. A sample is the fastest of enough calls
 to fill --min-ms, and at least 100 ms for the `run()` cells at
-N = 100,000: at about 1.2 ms a call, their 20 ms samples read median
-ratios up to 1.06-1.08 on identical code, their 100 ms samples
+N = 100,000: when a call took about 1.2 ms, their 20 ms samples read
+median ratios up to 1.06-1.08 on identical code, their 100 ms samples
 0.96-1.04 (12 rounds). Per cell the JSON gives the median and quartiles
 over rounds of the paired ratio after/before (below 1 is faster), each
 side's median sample, and whether both sides' outputs are equal. It
@@ -38,7 +38,15 @@ Cells use the default topology, 300 steps, seed 0 and default AIMD:
   mpsim.engine): the N = 10 cells never recur and pay only the check,
   min_rtt at N = 25 recurs with a 154-step cycle that the check cannot
   catch within 300 steps, and min_load at N = 50 and weighted round
-  robin at N = 150 are the smallest grid counts at which they recur;
+  robin at N = 150 are the smallest grid counts at which they recur.
+  A cell that recurs spends its time on the few steps it computes (6 of
+  300 for min_rtt and round robin at N = 500 and above, 18 for min_load,
+  70 for weighted round robin from N = 150 on) and on the copies of the
+  rest, each slot set in bulk at about 0.25 us a copy. Its final
+  windows are one tuple repetition per cohort or cursor class, so a
+  herd's run() at N = 100,000 takes about twice what it takes at
+  N = 5000, against about eight times while the windows were listed
+  agent by agent (BENCH_19.json);
 - `score()` of a telemetry built outside the timed call (epsilon 0.1),
   for min_rtt (one distinct window) and epsilon-greedy (many) at N = 10
   and 500, min_rtt, weighted round robin and epsilon-greedy at N = 2000

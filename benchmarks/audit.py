@@ -12,14 +12,24 @@ relative to the reference value. A `*` marks a value within 5% by the
 tests' own `within`. It then prints the count within 5% per metric and
 of whole rows, and whether each of the paper's four claims
 (tests/test_claims.py) holds on these rows.
+
+Last come the reference's own figures. Its noise floor: per metric, how
+many of the 42 ordered pairs of twin rows (min_rtt, attribute_aware and
+blest at one N, which should be identical: the path all three choose is
+not high-cost) lie within 5% of each other. A 5% match means no more
+than the twins' agreement allows. Then the four claims applied to the
+reference rows themselves.
 """
 
 import argparse
+import itertools
 import os
 import sys
 
 METRICS = ("oscillation", "loss", "fairness", "efficiency")
 TOLERANCE = 0.05
+# strategies whose reference rows should be identical (see the docstring)
+TWINS = ("min_rtt", "attribute_aware", "blest")
 
 
 def main(argv=None):
@@ -59,9 +69,24 @@ def main(argv=None):
                                                  for name in METRICS)
           + f"; whole rows {whole_rows}/{compared}")
     cell = cell_lookup(rows)
-    for claim in CLAIMS:
+    print_claims("claim", CLAIMS, cell)
+
+    agents = sorted({n for name, n in reference if name in TWINS})
+    pairs = [(a, b, n) for a, b in itertools.permutations(TWINS, 2) for n in agents]
+    agree = {name: sum(within(reference[(a, n)][name], reference[(b, n)][name], TOLERANCE)
+                       for a, b, n in pairs) for name in METRICS}
+    print()
+    print(f"reference noise floor, ordered twin pairs of {', '.join(TWINS)} within "
+          f"{TOLERANCE:.0%}: " + ", ".join(f"{name} {agree[name]}/{len(pairs)}"
+                                            for name in METRICS))
+    print_claims("reference claim", CLAIMS,
+                 cell_lookup([mpsim.SummaryRow(*row) for row in REFERENCE_TABLE]))
+
+
+def print_claims(label, claims, cell):
+    for claim in claims:
         holds, detail = claim(cell)
-        print(f"claim {claim.__doc__.splitlines()[0]} -> {'holds' if holds else 'FAILS'} "
+        print(f"{label} {claim.__doc__.splitlines()[0]} -> {'holds' if holds else 'FAILS'} "
               f"({detail})")
 
 

@@ -9,7 +9,9 @@ defaults to a fixed value; no code path reads the clock or OS entropy.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -36,6 +38,26 @@ def _load_topology(path: str | None):
             return parse_topology(handle.read())
     except OSError as exc:
         raise TopologyError(f"cannot read topology file: {exc}") from None
+
+
+def _refuse_unwritable(*outs: str | None) -> None:
+    """Refuse, before any simulation, an output path that open() would
+    refuse: a directory, or one whose parent directory is missing or not
+    writable. Nothing is opened, so no file is created or truncated."""
+    for out in outs:
+        if out is None or out == "-":
+            continue
+        parent = os.path.dirname(out) or "."
+        if os.path.isdir(out):
+            code = errno.EISDIR
+        elif not os.path.isdir(parent):
+            code = errno.ENOENT
+        elif not os.access(parent, os.W_OK) or (os.path.exists(out)
+                                                and not os.access(out, os.W_OK)):
+            code = errno.EACCES
+        else:
+            continue
+        raise ValueError(f"cannot write output file: {OSError(code, os.strerror(code), out)}")
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -201,6 +223,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "raw", False) and args.format == "markdown":
             raise ValueError("--raw applies only to CSV output, not to markdown")
+        _refuse_unwritable(args.out, getattr(args, "timeseries", None))
         return args.func(args)
     except (TopologyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,18 +6,20 @@ mean cross-path dispersion of load within a step. Stability and loss
 avoidance are the bounded inverses 1/(1+x) of oscillation and loss.
 Fairness is Jain's index over the final congestion windows. score()
 refuses a score that is not finite with a ValueError that names it.
-Scoring costs O(distinct steps + runs of equal windows): a record with
-an earlier record's `loads` and `overflows` tuples (a replayed cycle's)
-reuses that step's values, and a run of equal windows adds itself and
-its square in O(log count). Float sums add in order, never by sum(), which
-compensates from CPython 3.12 on, so scores match on every interpreter.
+Scoring costs O(distinct steps + runs of windows) Python steps: a record
+with an earlier record's `loads` and `overflows` tuples (a replayed
+cycle's) reuses that step's values, and every long run of one window
+object (run() repeats one per cohort or cursor class) adds itself and
+its square in O(log count), after a C-level identity scan. Float sums
+add in order, never by sum(), which compensates from CPython 3.12 on, so
+scores match on every interpreter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import islice
 from typing import Sequence
 
 from .engine import Telemetry, _repeated_add
@@ -95,31 +97,79 @@ def loss_avoidance(loss_mbps: float) -> float:
     return 1.0 / (1.0 + loss_mbps)
 
 
+# a run of one object adds value by value unless it is longer than this:
+# a shorter one costs less that way than _run_end's probes
+_LONG_RUN = 16
+
+
+def _run_end(values: Sequence[float], start: int) -> int | None:
+    """The index past the run of the object values[start], which
+    values[start + 1] repeats, or None if the run is _LONG_RUN values long
+    or shorter. The run is extended by chunks of doubling, then halving
+    length, each probed at its far end and confirmed by one `count`,
+    which compares by identity first: O(length) C work and O(log length)
+    Python steps. A sequence of one object repeated, such as a herd's
+    windows from run(), takes one `count`."""
+    v, n = values[start], len(values)
+    if not start and values[-1] is v and values.count(v) == n:
+        return n
+    i, span = start + _LONG_RUN, _LONG_RUN  # values[start..i] are v
+    if i >= n or values[start + 1:i + 1].count(v) < span:
+        return None
+    while i + span < n and values[i + span] is v and values[i + 1:i + span + 1].count(v) == span:
+        i, span = i + span, 2 * span
+    while span > 1:
+        span //= 2
+        if i + span < n and values[i + span] is v and values[i + 1:i + span + 1].count(v) == span:
+            i += span
+    return i + 1
+
+
 def jain_fairness(final_cwnds: Sequence[float]) -> float:
     """Jain's index (sum x)^2 / (n * sum x^2), from 1/n up to 1.0. Both sums
-    add value by value, but a leading run of equal positive values with a
-    finite nonzero float square takes one _repeated_add each: the same floats."""
+    add value by value, but the rest of every long run of one repeated
+    positive object with a finite nonzero float square, wherever it lies,
+    takes one _repeated_add each: the same floats, in O(log length) Python
+    steps per run (see _run_end)."""
     if not final_cwnds:
         raise ValueError("need at least one value")
-    total = square_sum = start = 0
-    for v, run in groupby(final_cwnds):
-        count, square = len(list(run)), v * v
-        if count == 1 or type(square) is not float or not (v > 0 and 0.0 < square < math.inf):
-            break
-        total = _repeated_add(total + v, v, count - 1)
-        square_sum = _repeated_add(square_sum + square, square, count - 1)
-        start += count
-    rest = final_cwnds[start:]
-    if any(v < 0 for v in rest):
-        raise ValueError("fairness requires nonnegative values")
-    for v in rest:
-        total += v
-        square_sum += v * v
+    values, n = final_cwnds, len(final_cwnds)
+    items = iter(values)
+    total = square_sum = i = recheck = 0
+    last = square = None
+    for v in items:
+        if (v is last and i >= recheck and type(square) is float and v > 0.0
+                and 0.0 < square < math.inf):
+            # values[i - 1] starts a run: add its rest at once if it is long
+            end = _run_end(values, i - 1)
+            if end is not None:
+                total = _repeated_add(total, v, end - i)
+                square_sum = _repeated_add(square_sum, square, end - i)
+                if end == n:
+                    break
+                next(islice(items, end - i - 1, end - i - 1), None)
+                i = end
+                continue
+            recheck = i + _LONG_RUN
+        if v < 0.0:
+            raise ValueError("fairness requires nonnegative values")
+        square = v * v
+        try:
+            total += v
+            square_sum += square
+        except OverflowError:
+            # an int beyond the float range: a negative value anywhere
+            # still takes precedence
+            if any(x < 0 for x in values):
+                raise ValueError("fairness requires nonnegative values") from None
+            raise
+        last = v
+        i += 1
     # square_sum can underflow to zero for subnormal inputs even when
     # the plain sum does not; both cases are effectively all-zero
     if total == 0 or square_sum == 0:
         raise ValueError("undefined fairness: all values are zero")
-    return (total * total) / (len(final_cwnds) * square_sum)
+    return (total * total) / (n * square_sum)
 
 
 def score(telemetry: Telemetry) -> AxiomScores:

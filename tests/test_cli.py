@@ -3,12 +3,29 @@ import json
 
 import pytest
 
+import mpsim.cli
+import mpsim.experiment
 from mpsim.cli import main
 from mpsim.strategy import DEFAULT_EPSILON
 
 
 def run_cli(args):
     return main(args)
+
+
+@pytest.fixture
+def run_calls(monkeypatch):
+    """Counts the calls of engine.run() made by the CLI and the sweeps."""
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return run(config)
+
+    run = mpsim.cli.run
+    monkeypatch.setattr(mpsim.cli, "run", counted)
+    monkeypatch.setattr(mpsim.experiment, "run", counted)
+    return calls
 
 
 class TestRun:
@@ -137,6 +154,34 @@ class TestRun:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: cannot write output file: ")
 
+    def test_unwritable_timeseries_refused_before_the_run(self, tmp_path, monkeypatch, capsys,
+                                                          run_calls):
+        monkeypatch.chdir(tmp_path)
+        absent = str(tmp_path / "absent" / "x.csv")
+        code = run_cli(["run", "--strategy", "min_rtt", "--agents", "3", "--steps", "5",
+                        "--out", "ok.json", "--timeseries", absent])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write output file: [Errno 2] No such file or directory: {absent!r}\n")
+        assert not (tmp_path / "ok.json").exists()
+        assert run_calls == []
+
+    def test_existing_output_untouched_when_another_is_refused(self, tmp_path, run_calls):
+        kept = tmp_path / "kept.json"
+        kept.write_text("earlier\n")
+        code = run_cli(["run", "--strategy", "min_rtt", "--agents", "3", "--steps", "5",
+                        "--out", str(kept), "--timeseries", str(tmp_path)])
+        assert code == 2
+        assert kept.read_text() == "earlier\n"
+        assert run_calls == []
+
+    def test_writable_outputs_run_once(self, tmp_path, run_calls):
+        code = run_cli(["run", "--strategy", "min_rtt", "--agents", "3", "--steps", "5",
+                        "--out", str(tmp_path / "a.json"),
+                        "--timeseries", str(tmp_path / "b.csv")])
+        assert code == 0
+        assert len(run_calls) == 1
+
 
 class TestSweep:
     def test_single_cell(self, capsys):
@@ -237,6 +282,13 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot write output file: ")
         assert str(out) in captured.err
+
+    def test_unwritable_output_refused_before_any_cell(self, tmp_path, capsys, run_calls):
+        absent = tmp_path / "absent" / "x.csv"
+        assert run_cli(["sweep", "--out", str(absent)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output file: ")
+        assert run_calls == []
+        assert not absent.parent.exists()
 
 
 class TestReport:

@@ -1032,6 +1032,24 @@ class TestRecords:
             assert dataclasses.astuple(record) == dataclasses.astuple(built)
             assert record == built and hash(record) == hash(built)
 
+    # run()'s replay builds the copies of a cycle in bulk, each slot filled
+    # by its setter mapped over all of them; a copy must still be the record
+    # the constructor builds, and a slot left unset fails astuple
+    @pytest.mark.parametrize("strategy, agents", [
+        ("min_rtt", 500), ("min_load", 50), ("weighted_round_robin", 150)])
+    def test_replayed_records_equal_the_constructed_records(self, strategy, agents):
+        records = run(config(strategy, agents=agents)).records
+        assert len({id(r.loads) for r in records}) < len(records)
+        assert [r.step for r in records] == list(range(300))
+        for record in records:
+            built = StepRecord(record.step, record.loads, record.overflows, record.inst_rtts)
+            assert type(record) is StepRecord
+            assert dataclasses.astuple(record) == dataclasses.astuple(built)
+            assert record == built and hash(record) == hash(built)
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.loads = ()
+
     # the telemetry's config holds the constants step() cached on it, its
     # rule among them
     @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
@@ -1042,6 +1060,36 @@ class TestRecords:
                                                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
             for duplicate in copies:
                 assert duplicate == value and duplicate is not value
+
+
+class TestFinalWindows:
+    # run() lists the final windows per state by tuple repetition: agent i
+    # of weighted round robin is cursor class i mod S, and the cohorts of
+    # every other strategy follow each other, each one float object
+    # repeated for its agents
+    @pytest.mark.parametrize("agents", [1, 23, 24, 2000])
+    @pytest.mark.parametrize("strategy", ["min_rtt", "epsilon_greedy", "weighted_round_robin"])
+    def test_final_windows_expand_the_states_agent_by_agent(self, monkeypatch, strategy, agents):
+        real_step = mpsim.engine.step
+        stepped = []
+
+        def capturing_step(states, *args, **kwargs):
+            stepped.append(states)
+            return real_step(states, *args, **kwargs)
+
+        monkeypatch.setattr(mpsim.engine, "step", capturing_step)
+        final = run(config(strategy, agents=agents)).final_cwnds
+        # run() steps one list of states, which ends as the final states
+        states = stepped[-1]
+        assert all(states is other for other in stepped)
+        if strategy == "weighted_round_robin":
+            expansion = [states[i % len(states)].cwnd for i in range(agents)]
+        else:
+            expansion = [state.cwnd for state in states for _ in range(state.count)]
+        if strategy == "epsilon_greedy" and agents == 2000:
+            assert len(states) > 1
+        assert type(final) is tuple and len(final) == agents
+        assert all(window is expanded for window, expanded in zip(final, expansion))
 
 
 # a topology given in int fields: every load, overflow and RTT a step

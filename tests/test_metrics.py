@@ -343,12 +343,38 @@ class TestReuse:
         with pytest.raises(ValueError, match="spread of step 1 overflows"):
             score(t)
 
+    # a run is one object repeated, as run() lists a cohort, or equal but
+    # distinct floats; `rounds` repeats the runs as unsorted classes, as
+    # run() lists weighted round robin's cursor classes, with a remainder
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(
         st.one_of(st.floats(), st.floats(0.0, 1e-300), st.floats(1.0, 100.0),
                   st.sampled_from([0.0, -0.0, 5e-324, 1e-160, 1e154, math.inf, math.nan]),
                   st.integers(-1, 3)),
-        st.one_of(st.integers(1, 3), st.integers(1, 3000))), min_size=1, max_size=6))
-    def test_jain_fairness_equals_the_plain_formula(self, runs):
-        values = [v for value, count in runs for v in [value] * count]
+        st.one_of(st.integers(1, 3), st.integers(1, 3000)),
+        st.booleans()), min_size=1, max_size=6),
+        st.integers(1, 3), st.booleans())
+    def test_jain_fairness_equals_the_plain_formula(self, runs, rounds, as_tuple):
+        classes = [v for value, count, distinct in runs
+                   for v in ([float(repr(value)) for _ in range(count)]
+                             if distinct and type(value) is float else [value] * count)]
+        values = classes * rounds + classes[:len(classes) // 2] if rounds > 1 else classes
+        if as_tuple:
+            values = tuple(values)
         assert outcome(jain_fairness, values) == outcome(old_jain, values)
+
+    def test_jain_fairness_refuses_a_negative_before_an_overflowing_int(self):
+        values = [1.0, 10 ** 400, -1.0]
+        assert outcome(jain_fairness, values) == outcome(old_jain, values) == (
+            ValueError, "fairness requires nonnegative values")
+
+    @pytest.mark.parametrize("values", [
+        (2.5,) * 40 + (1.5,) * 3 + (2.5,) * 40,
+        (1.0, 1.0, 1.0, 1.7) * 60,
+        (1.0,) * 17 + (2.0,) + (1.0,) * 17,
+        (0.1,) * 5000 + (0.3,) * 5000 + (0.1,),
+    ])
+    def test_jain_fairness_of_interrupted_runs_equals_the_plain_formula(self, values):
+        # _run_end's probes can land on the run's object past a different
+        # value; its counts must stop the run there
+        assert repr(jain_fairness(values)) == repr(old_jain(values))
