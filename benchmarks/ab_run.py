@@ -41,10 +41,11 @@ Cells use the default topology, 300 steps, seed 0 and default AIMD:
   robin at N = 150 are the smallest grid counts at which they recur.
   A cell that recurs spends its time on the few steps it computes (6 of
   300 for min_rtt and round robin at N = 500 and above, 18 for min_load,
-  70 for weighted round robin from N = 150 on) and on the copies of the
-  rest, each slot set in bulk at about 0.25 us a copy. Its final
-  windows are one tuple repetition per cohort or cursor class, so a
-  herd's run() at N = 100,000 takes about twice what it takes at
+  70 for weighted round robin from N = 150 on); it keeps the rest as a
+  count of cycle repeats and builds no copy (up to BENCH_19.json each
+  copy was built, its slots set in bulk at about 0.25 us a copy). Its
+  final windows are one tuple repetition per cohort or cursor class, so
+  a herd's run() at N = 100,000 takes about twice what it takes at
   N = 5000, against about eight times while the windows were listed
   agent by agent (BENCH_19.json);
 - `score()` of a telemetry built outside the timed call (epsilon 0.1),
@@ -52,8 +53,9 @@ Cells use the default topology, 300 steps, seed 0 and default AIMD:
   and 500, min_rtt, weighted round robin and epsilon-greedy at N = 2000
   and 100,000, and weighted round robin at N = 150, whose loads cycle
   with period 23 after an 8-step prefix (run() computes 70 of its 300
-  steps and copies the rest). Copied records share their cycle's
-  tuples, which score() reuses; the N = 10 cells never recur;
+  steps and keeps the rest as cycle repeats). score() adds a kept
+  cycle's step values per repeat, or at once where they are all equal,
+  without building its copies; the N = 10 cells never recur;
 - `emit_summary()` of the raw CSV of the 49 rows of the sweep below,
   built outside the timed call;
 - `sweep_agents()` over the 49-cell reproduction grid (every strategy

@@ -42,20 +42,26 @@ def _load_topology(path: str | None):
 
 def _refuse_unwritable(*outs: str | None) -> None:
     """Refuse, before any simulation, an output path that open() would
-    refuse: a directory, or one whose parent directory is missing or not
-    writable. Nothing is opened, so no file is created or truncated."""
+    refuse: an empty one, a directory, or one whose parent directory is
+    missing or not writable; and a file that two outputs name, where the
+    second would overwrite the first. Nothing is opened, so no file is
+    created or truncated."""
+    named = set()
     for out in outs:
         if out is None or out == "-":
             continue
         parent = os.path.dirname(out) or "."
         if os.path.isdir(out):
             code = errno.EISDIR
-        elif not os.path.isdir(parent):
+        elif not out or not os.path.isdir(parent):
             code = errno.ENOENT
         elif not os.access(parent, os.W_OK) or (os.path.exists(out)
                                                 and not os.access(out, os.W_OK)):
             code = errno.EACCES
+        elif os.path.realpath(out) in named:
+            raise ValueError(f"cannot write two outputs to one file: {out}")
         else:
+            named.add(os.path.realpath(out))
             continue
         raise ValueError(f"cannot write output file: {OSError(code, os.strerror(code), out)}")
 

@@ -84,12 +84,12 @@ from step m + 1 with period t - m, bit for bit. run() compares each
 step's state with a mark that it moves at doubling distances (Brent,
 "An improved Monte Carlo factorization algorithm", BIT 20, 1980),
 testing the loads first: one tuple compare per step on a run that
-never recurs. On a match it copies the remaining whole cycles of
-records, which end in the same state, and steps the leftover steps.
-The copies are built in bulk (`_copies`): each of the four slots is
-filled by its setter mapped over all of them, from the step range and
-the cycle's own tuples, which they share, so no Python function runs
-per copy.
+never recurs. On a match it keeps the remaining whole cycles of
+records, which end in the same state, as a count (`Records`), builds
+the record of the last copied step for the leftover steps to read, and
+steps those. `metrics.score` adds the cycle's values per repeat; a
+copy is built only when the records are read, sharing its cycle
+record's tuples.
 Epsilon-greedy at epsilon > 0 is excluded: the run's rng is part of
 its state, and its stream never repeats within a run.
 
@@ -103,10 +103,8 @@ from __future__ import annotations
 import math
 import operator
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import cycle, repeat, starmap
 
 from .strategy import (
     StrategyKind,
@@ -275,7 +273,7 @@ def _record(step: int, loads: tuple[float, ...], overflows: tuple[float, ...],
     """StepRecord(step, loads, overflows, inst_rtts) built without the
     constructor: its four slots are filled through their descriptors,
     which bypass the frozen class's __setattr__. It builds every computed
-    record (_copies builds a replayed cycle's), 0.54 against 0.82 us for the
+    record and every copy that Records reads, 0.54 against 0.82 us for the
     unslotted record's object.__setattr__ calls and 1.0 us for the
     constructor (medians of 40 interleaved samples, 2-vCPU x86_64 host,
     CPython 3.11.7). A slotted record has no __dict__, so vars() does
@@ -291,33 +289,81 @@ def _record(step: int, loads: tuple[float, ...], overflows: tuple[float, ...],
 _new_record = object.__new__
 _set_step, _set_loads, _set_overflows, _set_inst_rtts = (
     StepRecord.__dict__[name].__set__ for name in ("step", "loads", "overflows", "inst_rtts"))
-# each tuple slot's setter with its getter, for the copies of a cycle
-_TUPLE_SLOTS = ((_set_loads, operator.attrgetter("loads")),
-                (_set_overflows, operator.attrgetter("overflows")),
-                (_set_inst_rtts, operator.attrgetter("inst_rtts")))
 
 
-def _copies(cycle_records: list[StepRecord], first: int, count: int) -> list[StepRecord]:
-    """The records of steps first .. first + count - 1 that repeat
-    `cycle_records` in turn, sharing their tuples: what _record would
-    build for each, but with no Python function called per copy. Each
-    slot's setter is applied to every copy by `starmap` over a `zip`,
-    which hands the setter one argument tuple that it reuses from call
-    to call; 290 copies take 70 against 130 us by _record (medians of 15
-    interleaved samples, 2-vCPU x86_64 host, CPython 3.11.7)."""
-    copies = list(starmap(_new_record, repeat((StepRecord,), count)))
-    # a deque of length 0 drains each setter's iterator at C level
-    deque(starmap(_set_step, zip(copies, range(first, first + count))), maxlen=0)
-    for set_slot, get_slot in _TUPLE_SLOTS:
-        deque(starmap(set_slot, zip(copies, cycle(map(get_slot, cycle_records)))), maxlen=0)
-    return copies
+class Records:
+    """A run's step records, read as their tuple: the `computed` ones, the
+    first `split` of which are followed by `cycles` repeats of their last
+    `period` (see the module docstring's "Recurrence"), then the rest. A
+    copy is built when read, sharing its cycle record's tuples under its
+    own step index; a slice is a tuple, and ==, hash and repr are the
+    tuple's."""
+
+    __slots__ = ("computed", "split", "period", "cycles")
+
+    def __init__(self, computed: tuple[StepRecord, ...], split: int, period=0, cycles=0):
+        for name, value in zip(Records.__slots__, (computed, split, period, cycles)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return Records, (self.computed, self.split, self.period, self.cycles)
+
+    def parts(self) -> tuple[tuple[StepRecord, ...], tuple[StepRecord, ...], int, tuple]:
+        """(the records before the copies, the cycle they end in, its number
+        of repeats, the records after them)."""
+        computed, split = self.computed, self.split
+        return computed[:split], computed[split - self.period:split], self.cycles, computed[split:]
+
+    def _tuple(self) -> tuple[StepRecord, ...]:
+        if not self.cycles:
+            return self.computed
+        before, cycle_records, cycles, after = self.parts()
+        copies = (_record(step, record.loads, record.overflows, record.inst_rtts)
+                  for step, record in enumerate(cycle_records * cycles, self.split))
+        return before + tuple(copies) + after
+
+    def __len__(self) -> int:
+        return len(self.computed) + self.period * self.cycles
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __getitem__(self, index):
+        split, period, copies = self.split, self.period, self.period * self.cycles
+        if not copies or isinstance(index, slice):
+            return self._tuple()[index]
+        i = range(len(self))[index]  # refuses an index out of range
+        if 0 <= i - split < copies:
+            source = self.computed[split - period + (i - split) % period]
+            return _record(i, source.loads, source.overflows, source.inst_rtts)
+        return self.computed[i if i < split else i - copies]
+
+    def __eq__(self, other):
+        return self._tuple() == (other._tuple() if isinstance(other, Records) else other)
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
 
 
 @dataclass(frozen=True)
 class Telemetry:
-    records: tuple[StepRecord, ...]
+    """A run's records, final windows in agent order and config; records
+    given as a tuple or list are kept as Records without copies."""
+
+    records: Records
     final_cwnds: tuple[float, ...]
     config: SimConfig
+
+    def __post_init__(self):
+        if not isinstance(self.records, Records):
+            records = tuple(self.records)
+            object.__setattr__(self, "records", Records(records, len(records)))
 
 
 def _repeated_add(total: float, x: float, count: int) -> float:
@@ -662,8 +708,8 @@ def run(config: SimConfig) -> Telemetry:
 
     Every record comes from step(), reached through the module global,
     except in a run without an rng whose state recurs (see the module
-    docstring): there the records of the remaining whole cycles are
-    copies, sharing the cycle's tuples under their own step index."""
+    docstring): there Records keeps the remaining whole cycles as a
+    count, and builds a copy, sharing the cycle's tuples, when read."""
     strategy, agent_count = config.strategy, config.num_agents
     initial_cwnd = float(config.aimd.initial_cwnd)
     schedule = rng = None
@@ -692,6 +738,7 @@ def run(config: SimConfig) -> Telemetry:
     mark, mark_loads, mark_cwnds, reach = -1, None, None, 1
     steps = config.engine.steps
     records: list[StepRecord] = []
+    split, period, cycles = steps, 0, 0
     prev: StepRecord | None = None
     t = 0
     while t < steps:
@@ -700,13 +747,13 @@ def run(config: SimConfig) -> Telemetry:
         if watching:
             if (prev.loads == mark_loads and (t - mark) % phase == 0
                     and [agent.cwnd for agent in agents] == mark_cwnds):
-                # records mark + 1 .. t come round again: copy their whole
-                # cycles, which end in this step's state, and step the rest
-                period = t - mark
-                end = t + 1 + (steps - 1 - t) // period * period
-                records += _copies(records[-period:], t + 1, end - 1 - t)
-                prev = records[-1]
-                t = end - 1
+                # records mark + 1 .. t come round again: keep their whole
+                # cycles, which end in this step's state, as a count, and
+                # step the rest from the last copy's record
+                split, period = t + 1, t - mark
+                cycles = (steps - 1 - t) // period
+                t += cycles * period
+                prev = _record(t, prev.loads, prev.overflows, prev.inst_rtts)
                 watching = False
             elif t - mark == reach:
                 mark, mark_loads, reach = t, prev.loads, 2 * reach
@@ -726,7 +773,8 @@ def run(config: SimConfig) -> Telemetry:
         for agent in agents:
             windows += (agent.cwnd,) * agent.count
         final_cwnds = tuple(windows)
-    return Telemetry(records=tuple(records), final_cwnds=final_cwnds, config=config)
+    return Telemetry(records=Records(tuple(records), split, period, cycles),
+                     final_cwnds=final_cwnds, config=config)
 
 
 def timeseries_csv(telemetry: Telemetry) -> str:

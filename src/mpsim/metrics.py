@@ -6,9 +6,10 @@ mean cross-path dispersion of load within a step. Stability and loss
 avoidance are the bounded inverses 1/(1+x) of oscillation and loss.
 Fairness is Jain's index over the final congestion windows. score()
 refuses a score that is not finite with a ValueError that names it.
-Scoring costs O(distinct steps + runs of windows) Python steps: a record
-with an earlier record's `loads` and `overflows` tuples (a replayed
-cycle's) reuses that step's values, and every long run of one window
+Scoring costs O(computed steps + runs of windows) Python steps: each
+computed record's step values are found once, and a replayed cycle's
+(`Records.parts`) added per repeat without building its copies, at once
+where all are equal (a settled herd's). Every long run of one window
 object (run() repeats one per cohort or cursor class) adds itself and
 its square in O(log count), after a C-level identity scan. Float sums
 add in order, never by sum(), which compensates from CPython 3.12 on, so
@@ -39,33 +40,42 @@ class AxiomScores:
 def _step_means(telemetry: Telemetry) -> tuple[float, float, float]:
     """Means over steps of the total sent load, the total overflow and the
     population std of load across paths, each summed in step order."""
-    records = telemetry.records
-    if not records:
+    before, cycle_records, cycles, after = telemetry.records.parts()
+    if not before:
         raise ValueError("telemetry has no records")
-    if not records[0].loads:
+    if not before[0].loads:
         raise ValueError("telemetry has no paths")
-    seen = {}  # id(loads) -> step values, overflows; records keep each id's tuple
-    sent = overflow = spread = 0
-    for record in records:
-        loads, overflows = record.loads, record.overflows
-        step = seen.get(id(loads))
-        if step is None or step[3] is not overflows:
-            total = lost = deviation = 0
+    values = []  # each computed record's step values, in step order
+    for record in before + after:
+        loads = record.loads
+        total = lost = deviation = 0
+        for v in loads:
+            total += v
+        for v in record.overflows:
+            lost += v
+        mean = total / len(loads)
+        try:
             for v in loads:
-                total += v
-            for v in overflows:
-                lost += v
-            mean = total / len(loads)
-            try:
-                for v in loads:
-                    deviation += (v - mean) ** 2
-            except OverflowError:
-                raise ValueError(f"oscillation is not finite: the load spread of step "
-                                 f"{record.step} overflows") from None
-            step = seen[id(loads)] = total, lost, math.sqrt(deviation / len(loads)), overflows
-        sent, overflow, spread = sent + step[0], overflow + step[1], spread + step[2]
-    steps = len(records)
-    return sent / steps, overflow / steps, spread / steps
+                deviation += (v - mean) ** 2
+        except OverflowError:
+            raise ValueError(f"oscillation is not finite: the load spread of step "
+                             f"{record.step} overflows") from None
+        values.append((total, lost, math.sqrt(deviation / len(loads))))
+    split, period = len(before), len(cycle_records)
+    means = []
+    for column in zip(*values):
+        running = 0
+        for v in column[:split]:
+            running += v
+        # the cycle's values once per repeat; where all are equal, at once
+        # (a zero adds nothing)
+        cycle_values, repeats = column[split - period:split], cycles
+        if repeats and cycle_values.count(v) == period and 0.0 <= v < math.inf:
+            running, repeats = _repeated_add(running, v, cycles * period) if v else running, 0
+        for v in cycle_values * repeats + column[split:]:
+            running += v
+        means.append(running / (len(values) + cycles * period))
+    return tuple(means)
 
 
 def efficiency(telemetry: Telemetry) -> float:
@@ -173,7 +183,7 @@ def jain_fairness(final_cwnds: Sequence[float]) -> float:
 
 
 def score(telemetry: Telemetry) -> AxiomScores:
-    """Bundle all axiom scores for one run, reading each distinct step and
+    """Bundle all axiom scores for one run, reading each computed step and
     run of equal windows once (see the module docstring); refuse a non-finite one."""
     eff, lam, osc = _step_means(telemetry)
     fairness = jain_fairness(telemetry.final_cwnds)

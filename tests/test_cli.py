@@ -175,6 +175,37 @@ class TestRun:
         assert kept.read_text() == "earlier\n"
         assert run_calls == []
 
+    @pytest.mark.parametrize("second", ["same.txt", "./same.txt", "sub/../same.txt", "link.txt"])
+    def test_one_file_named_twice_refused_before_the_run(self, tmp_path, monkeypatch, capsys,
+                                                          run_calls, second):
+        # the timeseries CSV would overwrite the score summary
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.txt").symlink_to("same.txt")
+        code = run_cli(["run", "--strategy", "min_rtt", "--agents", "3", "--steps", "5",
+                        "--out", "same.txt", "--timeseries", second])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write two outputs to one file: {second}\n")
+        assert not (tmp_path / "same.txt").exists()
+        assert run_calls == []
+
+    def test_both_outputs_to_stdout_run(self, capsys):
+        code = run_cli(["run", "--strategy", "min_rtt", "--agents", "3", "--steps", "2",
+                        "--out", "-", "--timeseries", "-"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert '"scores"' in out and "step,path_id," in out
+
+    @pytest.mark.parametrize("flag", ["--out", "--timeseries"])
+    def test_empty_output_path_refused_before_the_run(self, capsys, run_calls, flag):
+        code = run_cli(["run", "--strategy", "min_rtt", "--agents", "3", "--steps", "5",
+                        flag, ""])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write output file: [Errno 2] No such file or directory: ''\n")
+        assert run_calls == []
+
     def test_writable_outputs_run_once(self, tmp_path, run_calls):
         code = run_cli(["run", "--strategy", "min_rtt", "--agents", "3", "--steps", "5",
                         "--out", str(tmp_path / "a.json"),
@@ -289,6 +320,14 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: cannot write output file: ")
         assert run_calls == []
         assert not absent.parent.exists()
+
+
+    @pytest.mark.parametrize("mode", [[], ["--epsilon-grid", "0,0.1"]])
+    def test_empty_output_path_refused_before_any_cell(self, capsys, run_calls, mode):
+        assert run_cli(["sweep", *mode, "--out", ""]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write output file: [Errno 2] No such file or directory: ''\n")
+        assert run_calls == []
 
 
 class TestReport:

@@ -24,7 +24,15 @@ from mpsim import (
     timeseries_csv,
     wrr_schedule,
 )
-from mpsim.engine import _PLAIN_LOOP_BELOW, StepRecord, _record, _repeated_add, binomialvariate
+from mpsim.engine import (
+    _PLAIN_LOOP_BELOW,
+    Records,
+    StepRecord,
+    Telemetry,
+    _record,
+    _repeated_add,
+    binomialvariate,
+)
 from reference import apportion_loss, oracle_agrees, rtt_instantaneous, update_cwnd
 
 AIMD = AimdParams()
@@ -463,9 +471,8 @@ class TestStepContract:
         else:
             assert calls == list(range(steps))
 
-    # metrics.score() reuses a step's values for a record that holds the
-    # very loads and overflows tuples of an earlier one: each copied record
-    # must share the tuples of the record one cycle before it
+    # a copied record, built when it is read, must share the tuples of the
+    # record one cycle before it, so a copy costs no tuples of its own
     @pytest.mark.parametrize("strategy, agents", [
         ("min_rtt", 500), ("round_robin", 500), ("min_load", 50),
         ("weighted_round_robin", 150), ("weighted_round_robin", 500),
@@ -1032,9 +1039,9 @@ class TestRecords:
             assert dataclasses.astuple(record) == dataclasses.astuple(built)
             assert record == built and hash(record) == hash(built)
 
-    # run()'s replay builds the copies of a cycle in bulk, each slot filled
-    # by its setter mapped over all of them; a copy must still be the record
-    # the constructor builds, and a slot left unset fails astuple
+    # the records of a run that replays build the copies of a cycle when
+    # read; a copy must still be the record the constructor builds, and a
+    # slot left unset fails astuple
     @pytest.mark.parametrize("strategy, agents", [
         ("min_rtt", 500), ("min_load", 50), ("weighted_round_robin", 150)])
     def test_replayed_records_equal_the_constructed_records(self, strategy, agents):
@@ -1060,6 +1067,84 @@ class TestRecords:
                                                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
             for duplicate in copies:
                 assert duplicate == value and duplicate is not value
+
+
+class TestLazyRecords:
+    # a recurring run keeps its cycle once, as a count of repeats, and
+    # builds a copy only when it is read; the records must read as the
+    # tuple of every record. min_load@50 has records after its copies,
+    # min_rtt@500 none, weighted round robin@150 a 23-step cycle
+    CELLS = [("min_rtt", 500), ("min_load", 50), ("weighted_round_robin", 150)]
+
+    @pytest.mark.parametrize("strategy, agents", CELLS)
+    def test_records_read_as_their_tuple(self, strategy, agents):
+        records = run(config(strategy, agents=agents)).records
+        whole = tuple(records)
+        assert isinstance(records, Records) and records.cycles
+        assert len(records) == len(whole) == 300 and list(records) == list(whole)
+        assert [r.step for r in whole] == list(range(300))
+        for i in range(-300, 300):
+            assert records[i] == whole[i]
+        for i in (300, -301, 10**20):
+            with pytest.raises(IndexError):
+                records[i]
+        with pytest.raises(TypeError):
+            records[1.0]
+        for cut in (slice(None), slice(1, None), slice(-7, None), slice(3, 250, 7),
+                    slice(None, None, -1), slice(290, 5, -3), slice(400, 500)):
+            assert type(records[cut]) is tuple and records[cut] == whole[cut]
+        assert records[1:] + (whole[0],) == whole[1:] + (whole[0],)
+        assert records == whole and whole == records and not records != whole
+        assert records != whole[:-1] and records != list(whole)
+        assert hash(records) == hash(whole) and repr(records) == repr(whole)
+
+    @pytest.mark.parametrize("strategy, agents", CELLS)
+    def test_records_survive_pickle_and_deepcopy(self, strategy, agents):
+        records = run(config(strategy, agents=agents)).records
+        copies = [copy.deepcopy(records)] + [pickle.loads(pickle.dumps(records, protocol))
+                                             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for duplicate in copies:
+            assert type(duplicate) is Records and duplicate == records
+            assert duplicate.parts()[1:3] == records.parts()[1:3]
+
+    def test_records_are_immutable(self):
+        records = run(config("min_rtt", agents=500)).records
+        with pytest.raises(AttributeError):
+            records.cycles = 0
+
+    def test_telemetry_keeps_given_records_without_copies(self):
+        telemetry = run(config("min_load", agents=50))
+        for given in (tuple(telemetry.records), list(telemetry.records)):
+            rebuilt = Telemetry(given, telemetry.final_cwnds, telemetry.config)
+            assert type(rebuilt.records) is Records and rebuilt.records.parts()[2] == 0
+            assert rebuilt == telemetry and hash(rebuilt) == hash(telemetry)
+            replaced = dataclasses.replace(telemetry, records=given)
+            assert type(replaced.records) is Records and replaced == telemetry
+        assert dataclasses.replace(telemetry).records is telemetry.records
+
+    def test_run_builds_no_record_for_a_copied_step(self, monkeypatch):
+        # step() builds the computed records and run() the one of the last
+        # copied step, which the leftover steps would read; scoring builds none
+        built, computed = [], []
+        real_new, real_step = mpsim.engine._new_record, mpsim.engine.step
+
+        def counting_new(cls):
+            built.append(cls)
+            return real_new(cls)
+
+        def counting_step(*args):
+            computed.append(args)
+            return real_step(*args)
+
+        monkeypatch.setattr(mpsim.engine, "_new_record", counting_new)
+        monkeypatch.setattr(mpsim.engine, "step", counting_step)
+        telemetry = run(config("min_rtt", agents=2000, steps=300))
+        assert len(telemetry.records) == 300 and len(computed) < 300
+        assert len(built) == len(computed) + 1
+        mpsim.score(telemetry)
+        assert len(built) == len(computed) + 1
+        # reading them builds every copy
+        assert len(tuple(telemetry.records)) == 300 and len(built) == 300 + 1
 
 
 class TestFinalWindows:

@@ -4,7 +4,7 @@ from functools import reduce
 from operator import add
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from mpsim import (
     STRATEGY_NAMES,
@@ -292,10 +292,9 @@ def outcome(function, *args):
 
 
 class TestReuse:
-    # score() reuses a step's values for a record holding the very loads
-    # and overflows tuples of an earlier one (run() shares them across a
-    # replayed cycle) and adds runs of equal windows with _repeated_add;
-    # both must give the plain loops' floats bit for bit
+    # score() adds a replayed cycle's step values without building its
+    # copies, and runs of equal windows with _repeated_add; both must give
+    # the plain loops' floats bit for bit, also where records share tuples
     @settings(max_examples=60, deadline=None)
     @given(strategy=st.sampled_from(STRATEGY_NAMES),
            rows=st.lists(st.tuples(st.floats(5.0, 200.0), st.floats(1.0, 100.0)),
@@ -314,6 +313,26 @@ class TestReuse:
         assert repr(shared) == repr(fresh)
         for field in dataclasses.fields(shared):
             assert getattr(shared, field.name) == getattr(fresh, field.name)
+
+    # score() adds a replayed cycle's step values once per repeat, or at
+    # once where they are all equal, without building its copies; the
+    # same records given as a tuple are scored one by one
+    @settings(max_examples=80, deadline=None)
+    @given(strategy=st.sampled_from(STRATEGY_NAMES),
+           rows=st.lists(st.tuples(st.floats(5.0, 200.0), st.floats(1.0, 100.0)),
+                         min_size=1, max_size=4),
+           agents=st.integers(1, 5000), steps=st.integers(1, 400),
+           aimd=st.sampled_from([AimdParams(), AimdParams(alpha=0.73, initial_cwnd=0.37)]))
+    def test_kept_cycle_scores_as_its_tuple(self, strategy, rows, agents, steps, aimd):
+        topology = Topology("drawn", tuple(PathSpec(i + 1, capacity, rtt)
+                                           for i, (capacity, rtt) in enumerate(rows)))
+        telemetry = run(SimConfig(topology=topology,
+                                  strategy=StrategyKind(strategy, epsilon=0.0),
+                                  num_agents=agents, aimd=aimd, engine=EngineParams(steps=steps)))
+        assume(telemetry.records.parts()[2])
+        whole = Telemetry(tuple(telemetry.records), telemetry.final_cwnds, telemetry.config)
+        assert whole.records.parts()[2] == 0
+        assert repr(score(telemetry)) == repr(score(whole))
 
     def test_a_herd_replays_and_scores_as_fresh_copies(self):
         telemetry = run(SimConfig(topology=default_topology(), strategy=StrategyKind("min_rtt"),
