@@ -52,25 +52,28 @@ agent; `metrics.jain_fairness` finds the runs of that object by identity.
 
 Every other strategy keeps its agents as cohorts: the distinct windows
 with their agent counts, in ascending window order (agents with equal
-windows are exchangeable). Its rule gives the path every agent takes,
-a function of the previous record and the step index t: min-RTT (and
-BLEST, whose filter always keeps the min-RTT path) and attribute-aware
-read the base RTTs, min-load the record, and round robin's cursors all
-start at 0, so every agent picks path 1 + t mod P; the N agents stay one
-cohort. Epsilon-greedy's rule is min-RTT's, the path its exploiters
-take; at epsilon > 0 some agents explore, all drawing from one stream
-per run. Each step a cohort of k agents draws X ~ Bin(k, epsilon)
-explorers, exact in distribution (`binomialvariate`), and spreads them
-over the P paths in path order by Bin(left, 1 / (P - j)), the
-sequential form of a multinomial with equal cells; its k - X
+windows are exchangeable). Each path's load adds its senders' windows
+cohort by cohort in that order. The AIMD update applies once per
+(cohort, path) state, and one sort-and-merge after the path pass
+restores the layout, making the states whose windows come out equal one
+cohort; a step that holds a single state, with nothing split off, skips
+it. The rule gives the path every agent takes, a function of the
+previous record and the step index t: min-RTT (and BLEST, whose filter
+always keeps the min-RTT path) and attribute-aware read the base RTTs,
+min-load the record, and round robin's cursors all start at 0, so every
+agent picks path 1 + t mod P; the N agents that run() starts as one
+cohort stay one. Epsilon-greedy's rule is min-RTT's, the path its
+exploiters take; at epsilon > 0 some agents explore, all drawing from
+one stream per run. Each step a cohort of k agents draws X ~ Bin(k,
+epsilon) explorers, exact in distribution (`binomialvariate`), and
+spreads them over the P paths in path order by Bin(left, 1 / (P - j)),
+the sequential form of a multinomial with equal cells; its k - X
 exploiters take the rule's path. A cohort of one draws as a single
 agent: one uniform against epsilon, then the explored index. So the
 counts on each path have exactly the law of k independent agents'
-choices. Each path's load adds, cohort by cohort, its share of each
-cohort's window; the AIMD update applies once per (cohort, path)
-state, and states whose windows come out equal merge. A step costs
-O(cohorts x P) instead of O(N): at N = 500 and epsilon 0.1 about 5
-cohorts, most agents sitting on the floor.
+choices, and each path's load adds its share of each cohort's window. A
+step costs O(cohorts x P) instead of O(N): at N = 500 and epsilon 0.1
+about 5 cohorts, most agents sitting on the floor.
 
 Recurrence: a greedy herd settles into a fixed point or a short cycle,
 and run() then stops recomputing it. Step t reads only the states'
@@ -105,6 +108,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 from .strategy import (
     StrategyKind,
@@ -178,12 +182,10 @@ class AimdParams:
 
 @dataclass(frozen=True)
 class EngineParams:
-    """`queue_scale_ms` has no effect (see the module docstring); it stays,
-    validated, while perfbench/checks.py passes it to the oracle."""
-
     steps: int = DEFAULT_STEPS
     step_ms: float = 10.0
-    queue_scale_ms: float = 10.0
+    # not an option: only perfbench/checks.py's oracle call reads it (ROADMAP item 5)
+    queue_scale_ms: ClassVar[float] = 10.0
 
     def __post_init__(self):
         _index(self, "steps")
@@ -191,8 +193,6 @@ class EngineParams:
             raise ValueError("steps must be >= 1")
         if not 0.0 < self.step_ms < math.inf:
             raise ValueError("step_ms must be positive and finite")
-        if not 0.0 <= self.queue_scale_ms < math.inf:
-            raise ValueError("queue_scale_ms must be finite and >= 0")
 
 
 @dataclass(slots=True)
@@ -204,11 +204,9 @@ class AgentState:
     applies one AIMD update to the state, whatever its count. For
     weighted round robin run() builds one state per cursor class: state
     k of its S states stands for agents k, k + S, k + 2S, ..., and its
-    cursor is k plus the step index. For every other strategy it builds
-    one cohort of count N. Epsilon-greedy at epsilon > 0 keeps one
-    cohort per distinct window, in ascending window order: step() splits
-    each cohort by its draws into one state per chosen path and merges
-    the states whose windows come out equal.
+    cursor is k plus the step index. Every other strategy keeps one
+    cohort per distinct window, in ascending window order (see the
+    module docstring); run() starts it as one cohort of count N.
     """
 
     cwnd: float
@@ -546,7 +544,7 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
     run()'s layout; `schedule` is weighted round robin's wrr_schedule and
     `rng` the run's stream that epsilon-greedy at epsilon > 0 draws from.
     Each is required by its strategy and refused by every other one.
-    Epsilon-greedy's list ends the step as the new cohorts. The step
+    A cohort strategy's list ends the step as the new cohorts. The step
     index follows `prev_record`'s."""
     t = 0 if prev_record is None else prev_record.step + 1
     (rtts, constant_path, rule, draws, epsilon, mbps_per_cwnd, capacities, increments,
@@ -654,6 +652,7 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
                         loads[path] = _repeated_add(loads[path], load, share)
                     state = None
             loads[exploit] = exploit_load
+            agents += born
             senders = enumerate(members)
 
     # one pass over the paths with senders, which also applies the AIMD
@@ -681,11 +680,10 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
             for agent in states:
                 agent.cwnd += increment
 
-    if rng is not None:
+    if schedule is None and len(agents) > 1:
         # the new cohorts: the states in ascending window order, and where
         # the update made windows equal (say two cohorts halved onto the
         # floor) one state for them, which keeps the first one's path
-        agents += born
         agents.sort(key=_by_cwnd)
         last = None
         for state in agents:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import ClassVar, Collection, Iterable, Sequence
 
 STRATEGY_NAMES = (
     "min_rtt",
@@ -26,22 +26,16 @@ STRATEGY_NAMES = (
 )
 
 DEFAULT_EPSILON = 0.1
-DEFAULT_BLEST_FILTER = 1.5
 
 
 @dataclass(frozen=True)
 class StrategyKind:
-    """A strategy name plus its tunables.
-
-    BLEST's filter keeps the paths within `filter_factor` of the best
-    RTT, which for positive RTTs always include the min-RTT path, so the
-    engine steps blest by min-RTT's rule. `filter_factor` stays validated
-    only because perfbench/checks.py passes it to the oracle; it goes
-    with the next change to perfbench."""
+    """A strategy name plus its tunables."""
 
     name: str
     epsilon: float = DEFAULT_EPSILON
-    filter_factor: float = DEFAULT_BLEST_FILTER
+    # not an option: only perfbench/checks.py's oracle call reads it (ROADMAP item 5)
+    filter_factor: ClassVar[float] = 1.5
 
     def __post_init__(self):
         if self.name not in STRATEGY_NAMES:
@@ -50,8 +44,6 @@ class StrategyKind:
             )
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
-        if not 1.0 <= self.filter_factor < math.inf:
-            raise ValueError("filter_factor must be finite and >= 1")
 
 
 def select_min_rtt(rtts: Sequence[float]) -> int:

@@ -54,15 +54,18 @@ def naive_run(paths, strategy, num_agents, steps, seed,
     Returns (records, cwnds) where each record is a dict with "loads",
     "overflows", "rtts" lists indexed by path position.
 
+    Every strategy but weighted round robin groups its agents by window
+    into cohorts each step, taken in ascending window order: each path's
+    load adds its agents' windows cohort by cohort, and the final windows
+    come back in ascending order. Weighted round robin adds them in
+    agent order and returns them so.
+
     Epsilon-greedy at epsilon > 0 draws from one stream seeded with
-    str(seed). Each step it groups the agents by window into cohorts,
-    taken in ascending window order. A cohort of one draws as an agent:
+    str(seed), cohort by cohort. A cohort of one draws as an agent:
     explore with probability epsilon, then a uniform path by randrange.
     A cohort of k draws X ~ Bin(k, epsilon) explorers and spreads them
     over the paths in path order by Bin(left, 1 / paths left); the other
-    k - X agents exploit the min-RTT path. Each path's load adds its
-    agents' windows cohort by cohort, and the final windows come back
-    in ascending order.
+    k - X agents exploit the min-RTT path.
     """
     n_paths = len(paths)
     cwnd = [float(initial_cwnd)] * num_agents
@@ -84,15 +87,16 @@ def naive_run(paths, strategy, num_agents, steps, seed,
     for t in range(steps):
         chosen = [0] * num_agents
         cohorts = None
+        if slots is None:
+            by_window = {}
+            for i in range(num_agents):
+                by_window.setdefault(cwnd[i], []).append(i)
+            cohorts = [by_window[w] for w in sorted(by_window)]
         if rng is not None:
             pick = 0
             for j in range(1, n_paths):
                 if prev_rtts[j] < prev_rtts[pick]:
                     pick = j
-            by_window = {}
-            for i in range(num_agents):
-                by_window.setdefault(cwnd[i], []).append(i)
-            cohorts = [by_window[w] for w in sorted(by_window)]
             for members in cohorts:
                 shares = [0] * n_paths
                 if len(members) == 1:
@@ -141,7 +145,7 @@ def naive_run(paths, strategy, num_agents, steps, seed,
                 chosen[i] = slots[cursor[i] % len(slots)]
                 cursor[i] += 1
             elif strategy == "epsilon_greedy":
-                if cohorts is not None:
+                if rng is not None:
                     continue  # drawn by its cohort above
                 pick = 0
                 for j in range(1, n_paths):
@@ -185,7 +189,7 @@ def naive_run(paths, strategy, num_agents, steps, seed,
         prev_loads = loads
         prev_rtts = rtts
 
-    return records, (cwnd if rng is None else sorted(cwnd))
+    return records, (cwnd if slots is not None else sorted(cwnd))
 
 
 def oracle_agrees(telemetry):
@@ -198,9 +202,8 @@ def oracle_agrees(telemetry):
               "attrs": tuple(p.attributes)} for p in config.topology.paths]
     records, cwnds = naive_run(
         paths, strategy.name, config.num_agents, engine.steps, config.seed,
-        epsilon=strategy.epsilon, filter_factor=strategy.filter_factor,
-        forbidden=tuple(config.forbidden_tags), step_ms=engine.step_ms,
-        queue_scale=engine.queue_scale_ms, alpha=aimd.alpha, beta=aimd.beta,
+        epsilon=strategy.epsilon, forbidden=tuple(config.forbidden_tags),
+        step_ms=engine.step_ms, alpha=aimd.alpha, beta=aimd.beta,
         floor=aimd.cwnd_floor, initial_cwnd=aimd.initial_cwnd,
         mbps_per_cwnd=aimd.mbps_per_cwnd)
     return (tuple(cwnds) == telemetry.final_cwnds

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -400,3 +404,30 @@ class TestReport:
         captured = capsys.readouterr()
         assert named in captured.err
         assert captured.out == ""
+
+
+class TestModuleEntry:
+    # `python -m mpsim` and `python -m mpsim.cli` reach main() and exit
+    # with its status, in a fresh interpreter that finds this checkout's
+    # package first
+    SRC = str(pathlib.Path(mpsim.cli.__file__).resolve().parents[1])
+
+    def run_module(self, *args):
+        path = os.pathsep.join(filter(None, [self.SRC, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", *args], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=path), check=False)
+
+    @pytest.mark.parametrize("module", ["mpsim", "mpsim.cli"])
+    def test_unknown_strategy_exits_2(self, module):
+        completed = self.run_module(module, "run", "--strategy", "nonexistent")
+        assert completed.returncode == 2
+        assert completed.stdout == b""
+        assert b"invalid choice" in completed.stderr
+
+    def test_sweep_writes_mains_bytes(self, capsys):
+        args = ["sweep", "--strategies", "min_rtt", "--agents-list", "10", "--steps", "5",
+                "--raw"]
+        completed = self.run_module("mpsim", *args)
+        assert completed.returncode == 0
+        assert run_cli(args) == 0
+        assert completed.stdout == capsys.readouterr().out.encode()

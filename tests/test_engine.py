@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import mpsim.engine
 from mpsim import (
+    HIGH_COST_TAG,
     STRATEGY_NAMES,
     AgentState,
     AimdParams,
@@ -114,9 +115,7 @@ class TestParamValidation:
     @pytest.mark.parametrize("params, field", [
         (AimdParams, "initial_cwnd"), (AimdParams, "alpha"), (AimdParams, "beta"),
         (AimdParams, "cwnd_floor"), (AimdParams, "mbps_per_cwnd"),
-        (EngineParams, "step_ms"), (EngineParams, "queue_scale_ms"),
-        (partial(StrategyKind, "epsilon_greedy"), "epsilon"),
-        (partial(StrategyKind, "blest"), "filter_factor"),
+        (EngineParams, "step_ms"), (partial(StrategyKind, "epsilon_greedy"), "epsilon"),
     ])
     def test_non_finite_rejected(self, params, field, value):
         # a NaN would otherwise pass a plain `x <= 0` check and run to a
@@ -132,6 +131,14 @@ class TestParamValidation:
     def test_steps_positive(self):
         with pytest.raises(ValueError):
             EngineParams(steps=0)
+
+    def test_queue_scale_is_not_an_option(self):
+        # the queueing term follows carried load and never fires, so its
+        # scale moved no output; the oracle's default stays readable on
+        # the class
+        with pytest.raises(TypeError, match="queue_scale_ms"):
+            EngineParams(queue_scale_ms=1.0)
+        assert EngineParams.queue_scale_ms == EngineParams().queue_scale_ms == 10.0
 
     def test_agents_positive(self):
         with pytest.raises(ValueError):
@@ -320,13 +327,12 @@ class TestInlinedPathPass:
     # step() takes each path's RTT and window increment from per-run
     # constants, the base RTT and alpha per base RTT; both must stay the
     # arithmetic of the reference's rtt_instantaneous of carried load and
-    # update_cwnd, also off the default step_ms and queue_scale_ms
-    ENGINES = [EngineParams(steps=60),
-               EngineParams(steps=60, step_ms=3.7, queue_scale_ms=25.0),
-               EngineParams(steps=60, step_ms=17.0, queue_scale_ms=0.0)]
+    # update_cwnd, also off the default step_ms. The queueing term follows
+    # carried load, which never exceeds capacity, so its scale moves no RTT
+    ENGINES = [EngineParams(steps=60), EngineParams(steps=60, step_ms=3.7),
+               EngineParams(steps=60, step_ms=17.0)]
 
-    @pytest.mark.parametrize("engine", ENGINES,
-                             ids=["default", "step3.7-queue25", "step17-queue0"])
+    @pytest.mark.parametrize("engine", ENGINES, ids=["default", "step3.7", "step17"])
     @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
     def test_rtts_are_rtt_instantaneous_of_carried_load(self, strategy, engine):
         cfg = SimConfig(topology=default_topology(), strategy=StrategyKind(strategy),
@@ -334,12 +340,13 @@ class TestInlinedPathPass:
                         engine=engine, seed=4)
         telemetry = run(cfg)
         paths = cfg.topology.paths
-        for record in telemetry.records:
-            expected = tuple(
-                rtt_instantaneous(path.base_rtt_ms, min(load, path.capacity_mbps),
-                                  path.capacity_mbps, engine.queue_scale_ms)
-                for path, load in zip(paths, record.loads))
-            assert record.inst_rtts == expected
+        for queue_scale in (0.0, 10.0, 25.0):
+            for record in telemetry.records:
+                expected = tuple(
+                    rtt_instantaneous(path.base_rtt_ms, min(load, path.capacity_mbps),
+                                      path.capacity_mbps, queue_scale)
+                    for path, load in zip(paths, record.loads))
+                assert record.inst_rtts == expected
         assert any(overflow > 0.0 for r in telemetry.records for overflow in r.overflows)
         assert oracle_agrees(telemetry)
 
@@ -354,19 +361,6 @@ class TestInlinedPathPass:
         assert all(type(rtt) is float for rtt in shared)
         assert all(record.inst_rtts is shared for record in telemetry.records)
         assert any(overflow > 0.0 for r in telemetry.records for overflow in r.overflows)
-
-    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
-    def test_queue_scale_has_no_effect(self, strategy):
-        # the queueing delay follows carried load, which never exceeds
-        # capacity, so the scale of that delay changes no output
-        outputs = set()
-        for queue_scale in (0.0, 10.0, 1e6):
-            cfg = dataclasses.replace(
-                config(strategy, agents=90, seed=4),
-                engine=EngineParams(steps=60, queue_scale_ms=queue_scale))
-            telemetry = run(cfg)
-            outputs.add((telemetry.records, telemetry.final_cwnds))
-        assert len(outputs) == 1
 
 
 def paths_topology(path_count):
@@ -888,6 +882,82 @@ class TestCohortStates:
                        for _, count, path in cohorts)
         assert telemetry.final_cwnds == tuple(
             cwnd for cwnd, count, _ in seen[-1] for _ in range(count))
+
+    def test_rule_cohorts_whose_windows_meet_merge(self):
+        # two cohorts overflow min-RTT's path 1 (45 + 57 > 50 Mbps), halve
+        # onto the floor and come back as one cohort; the path's load adds
+        # them cohort by cohort
+        agents = [AgentState(1.5, count=30), AgentState(1.9, count=30)]
+        record = mpsim.engine.step(agents, None, config("min_rtt", agents=60))
+        assert [(state.cwnd, state.count, state.chosen_path) for state in agents] == [
+            (1.0, 60, 1)]
+        load = 0.0
+        for cwnd in [1.5] * 30 + [1.9] * 30:
+            load += cwnd
+        assert record.loads == (load, 0.0, 0.0)
+        assert record.overflows == (load - 50.0, 0.0, 0.0)
+
+
+# every settable value of a config: the fields of its parts and its own
+# other fields
+CONFIG_PARTS = {AimdParams: "aimd", EngineParams: "engine", StrategyKind: "strategy"}
+OPTIONS = [(owner, field.name) for owner in CONFIG_PARTS for field in dataclasses.fields(owner)] + [
+    (SimConfig, field.name) for field in dataclasses.fields(SimConfig)
+    if field.name not in CONFIG_PARTS.values()]
+
+
+class TestEveryOptionMovesAnOutput:
+    # every option moves the telemetry, set off its default in a config
+    # where it applies; an option that nothing reads has no case here, or
+    # one whose telemetry does not move
+
+    @staticmethod
+    def cases():
+        # 90 agents on min-RTT's 50 Mbps path sit at the floor; 10 grow
+        # above it between losses
+        herd = config("min_rtt", agents=90, steps=60)
+        few = config("min_rtt", agents=10, steps=60)
+        explore = config("epsilon_greedy", agents=90, steps=60, epsilon=0.1)
+        tagged = Topology("tagged-min-rtt", (PathSpec(1, 50.0, 20.0, frozenset({HIGH_COST_TAG})),
+                                             PathSpec(2, 100.0, 50.0)))
+        aware = config("attribute_aware", agents=90, steps=60, topology=tagged)
+        wider = Topology("wider-path-1", (PathSpec(1, 60.0, 20.0),) + default_topology().paths[1:])
+        return {
+            (AimdParams, "initial_cwnd"): (few, 2.0),
+            (AimdParams, "alpha"): (few, 0.5),
+            (AimdParams, "beta"): (few, 0.75),
+            (AimdParams, "cwnd_floor"): (herd, 1.5),
+            (AimdParams, "mbps_per_cwnd"): (few, 2.0),
+            (EngineParams, "steps"): (config("min_rtt", agents=10), 60),
+            (EngineParams, "step_ms"): (few, 5.0),
+            (StrategyKind, "name"): (few, "min_load"),
+            (StrategyKind, "epsilon"): (explore, 0.2),
+            (SimConfig, "topology"): (few, wider),
+            (SimConfig, "num_agents"): (few, 11),
+            (SimConfig, "seed"): (explore, 1),
+            (SimConfig, "forbidden_tags"): (aware, frozenset()),
+        }
+
+    @pytest.mark.parametrize("owner, name", OPTIONS,
+                             ids=[f"{owner.__name__}.{name}" for owner, name in OPTIONS])
+    def test_option_moves_the_telemetry(self, owner, name):
+        case = self.cases().get((owner, name))
+        if case is None:
+            pytest.fail(f"{owner.__name__}.{name} has no case that shows it moves an output")
+        cfg, value = case
+        part = cfg if owner is SimConfig else getattr(cfg, CONFIG_PARTS[owner])
+        default = next(field.default for field in dataclasses.fields(owner) if field.name == name)
+        if default is not dataclasses.MISSING:
+            assert getattr(part, name) == default
+        assert value != getattr(part, name)
+        moved = dataclasses.replace(part, **{name: value})
+        if owner is not SimConfig:
+            moved = dataclasses.replace(cfg, **{CONFIG_PARTS[owner]: moved})
+        before, after = run(cfg), run(moved)
+        assert (after.records, after.final_cwnds) != (before.records, before.final_cwnds)
+
+    def test_every_case_names_an_option(self):
+        assert set(self.cases()) == set(OPTIONS)
 
 
 class TestHerdInvariant:

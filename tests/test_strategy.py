@@ -231,6 +231,9 @@ class TestStrategyKind:
         with pytest.raises(ValueError):
             StrategyKind("epsilon_greedy", epsilon=eps)
 
-    def test_filter_factor_range(self):
-        with pytest.raises(ValueError):
-            StrategyKind("blest", filter_factor=0.9)
+    def test_filter_factor_is_not_an_option(self):
+        # BLEST's filter always keeps the min-RTT path, so its factor moved
+        # no output; the oracle's default stays readable on the class
+        with pytest.raises(TypeError, match="filter_factor"):
+            StrategyKind("blest", filter_factor=2.0)
+        assert StrategyKind.filter_factor == StrategyKind("blest").filter_factor == 1.5
