@@ -48,7 +48,7 @@ computes a run of equal windows in O(log count) instead of O(count).
 run() lists the final windows the same way, by tuple repetition: each
 state's one float object repeated for its agents, the S cursor classes
 round by round or the cohorts one after another, with no Python step per
-agent; `metrics.jain_fairness` finds the runs of that object by identity.
+agent.
 
 Every other strategy keeps its agents as cohorts: the distinct windows
 with their agent counts, in ascending window order (agents with equal
@@ -292,10 +292,10 @@ _set_step, _set_loads, _set_overflows, _set_inst_rtts = (
 class Records:
     """A run's step records, read as their tuple: the `computed` ones, the
     first `split` of which are followed by `cycles` repeats of their last
-    `period` (see the module docstring's "Recurrence"), then the rest. A
-    copy is built when read, sharing its cycle record's tuples under its
-    own step index; a slice is a tuple, and ==, hash and repr are the
-    tuple's."""
+    `period` (see the module docstring's "Recurrence"), then the rest. The
+    copies are built when the records are read, each sharing its cycle
+    record's tuples under its own step index; an index, a slice,
+    iteration, ==, hash and repr all read that tuple."""
 
     __slots__ = ("computed", "split", "period", "cycles")
 
@@ -330,14 +330,7 @@ class Records:
         return iter(self._tuple())
 
     def __getitem__(self, index):
-        split, period, copies = self.split, self.period, self.period * self.cycles
-        if not copies or isinstance(index, slice):
-            return self._tuple()[index]
-        i = range(len(self))[index]  # refuses an index out of range
-        if 0 <= i - split < copies:
-            source = self.computed[split - period + (i - split) % period]
-            return _record(i, source.loads, source.overflows, source.inst_rtts)
-        return self.computed[i if i < split else i - copies]
+        return self._tuple()[index]
 
     def __eq__(self, other):
         return self._tuple() == (other._tuple() if isinstance(other, Records) else other)

@@ -152,9 +152,17 @@ def parse_summary_csv(text: str) -> list[SummaryRow]:
     """Read back a summary CSV (raw or rounded) for re-rendering.
 
     A row with an unknown strategy or a number that does not parse or is
-    not finite is refused with its row (the header is row 1) and column.
+    not finite is refused with its row (the header is row 1) and column,
+    a row that is not readable CSV with its row.
     """
     reader = csv.reader(io.StringIO(text))
+    try:
+        return _summary_rows(reader)
+    except csv.Error as exc:
+        raise ValueError(f"row {reader.line_num}: {exc}") from None
+
+
+def _summary_rows(reader) -> list[SummaryRow]:
     try:
         header = next(reader)
     except StopIteration:

@@ -79,7 +79,11 @@ class Topology:
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TopologyError(f"{where} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise TopologyError(f"{where} must be finite, got an integer "
+                            f"beyond the float range") from None
 
 
 def parse_topology(config_text: str) -> Topology:

@@ -119,6 +119,17 @@ class TestRun:
         assert code == 2
         assert "capacity must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["capacity_mbps", "base_rtt_ms"])
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, field):
+        topo = tmp_path / "topo.json"
+        path = {"id": 1, "capacity_mbps": 10, "base_rtt_ms": 10, field: 10 ** 400}
+        topo.write_text(json.dumps({"name": "huge", "paths": [path]}))
+        code = run_cli(["run", "--strategy", "min_rtt", "--topology", str(topo)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: paths[1]: '{field}' must be finite")
+
     def test_attribute_aware_with_every_path_forbidden_exits_2(self, tmp_path, capsys):
         topo = tmp_path / "topo.json"
         topo.write_text(json.dumps({"name": "all-high-cost", "paths": [
@@ -390,6 +401,15 @@ class TestReport:
         bad.write_text("strategy,agents\nmin_rtt,10\n")
         code = run_cli(["report", "--in", str(bad)])
         assert code == 2
+
+    def test_field_beyond_the_csv_limit_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("strategy,agents,oscillation,loss,fairness,efficiency,"
+                       "stability,loss_avoidance\nmin_rtt," + "1" * 200_000 + "\n")
+        assert run_cli(["report", "--in", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: row 2: field larger than field limit")
 
     @pytest.mark.parametrize("line, named", [
         ("min_rtt,10,4.25,nan,0.33,44.79,0.19,0.29", "row 2, column 'loss'"),

@@ -192,6 +192,14 @@ class TestParseSummaryCsv:
         with pytest.raises(ValueError, match=f"row 3, column '{column}'.*{value}"):
             parse_summary_csv("\n".join(lines) + "\n")
 
+    def test_rejects_a_field_beyond_the_csv_limit_naming_its_row(self):
+        # csv.reader refuses a field longer than csv.field_size_limit()
+        # (131,072 characters by default) with csv.Error
+        lines = emit_summary([TestEmitSummary.ROW, TestEmitSummary.ROW]).splitlines()
+        lines[2] = lines[2].replace(",", "," + "9" * 200_000, 1)
+        with pytest.raises(ValueError, match="row 3: field larger than field limit"):
+            parse_summary_csv("\n".join(lines) + "\n")
+
     def test_rejects_unknown_strategy_naming_row_and_column(self):
         text = emit_summary([TestEmitSummary.ROW]).replace("min_rtt", "min_rttx")
         with pytest.raises(ValueError, match="row 2, column 'strategy'.*min_rttx"):

@@ -392,8 +392,21 @@ class TestReuse:
         (1.0, 1.0, 1.0, 1.7) * 60,
         (1.0,) * 17 + (2.0,) + (1.0,) * 17,
         (0.1,) * 5000 + (0.3,) * 5000 + (0.1,),
+        (1e154,) * 40,
+        (1.4e154,) * 40,
+        (5e-324,) * 40,
+        (-1.0,) * 40,
+        (-0.0,) * 40,
+        (0.1,) * 400,
+        (1,) + (1.0,) * 40,
+        (1.0,) * 40 + (1,),
+        (True,) + (1.0,) * 40,
     ])
     def test_jain_fairness_of_interrupted_runs_equals_the_plain_formula(self, values):
-        # _run_end's probes can land on the run's object past a different
-        # value; its counts must stop the run there
-        assert repr(jain_fairness(values)) == repr(old_jain(values))
+        # the herd test takes only windows that all equal a positive float
+        # whose square is finite and nonzero: a run interrupted by another
+        # value, a square sum that overflows (1e154), a square that is
+        # infinite (1.4e154) or underflows (5e-324), a negative or zero
+        # herd, and a herd with an int or bool among its floats must give
+        # the plain formula's value or refusal
+        assert outcome(jain_fairness, values) == outcome(old_jain, values)
