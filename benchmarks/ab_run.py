@@ -13,7 +13,12 @@ slows both samples of a pair. A sample is the fastest of enough calls
 to fill --min-ms, and at least 100 ms for the `run()` cells at
 N = 100,000: when a call took about 1.2 ms, their 20 ms samples read
 median ratios up to 1.06-1.08 on identical code, their 100 ms samples
-0.96-1.04 (12 rounds). Per cell the JSON gives the median and quartiles
+0.96-1.04 (12 rounds). A tree timed against itself reads every median
+ratio within 0.97-1.03, but two different trees read wider: a copy whose
+step() was byte for byte its parent's, only docstrings and two
+dataclasses differing, read 1.02-1.04 on the epsilon 0.1 cells at
+N = 50-250 (16 rounds, quartiles up to 1.046), so a 2-4% ratio in one
+cell is within the noise. Per cell the JSON gives the median and quartiles
 over rounds of the paired ratio after/before (below 1 is faster), each
 side's median sample, and whether both sides' outputs are equal. It
 also records nproc, the CPU, the Python version and both commits.
