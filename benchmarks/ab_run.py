@@ -26,11 +26,11 @@ also records nproc, the CPU, the Python version and both commits.
 `epsilon_greedy[0.1]`), leaving out, among others, the N = 100,000 cells.
 
 Cells use the default topology, 300 steps, seed 0 and default AIMD:
-- `run()` of weighted round robin at N = 10, 25, 50, 100, 150 and 500,
-  epsilon-greedy at epsilon 0, 0.1 and 0.5 with N = 10 and 500 and at
-  epsilon 0.1 with N = 25, 50, 100 and 250 and at epsilon 0.3 with
-  N = 500, min_rtt and round robin at N = 10
-  and 500, min_rtt at N = 25 and min_load at N = 50, min_load,
+- `run()` of weighted round robin at N = 10, 25, 50, 100, 150, 250 and
+  500, epsilon-greedy at epsilon 0, 0.1 and 0.5 with N = 10 and 500 and
+  at epsilon 0.1 with N = 25, 50, 100 and 250 and at epsilon 0.3 with
+  N = 500, min_rtt and round robin at N = 10 and 500, min_rtt at N = 25,
+  min_load, min_rtt, attribute_aware and blest at N = 50, min_load,
   attribute_aware and blest at N = 10 (cells that never recur, so
   run() computes every step: min-load's rule runs on each, while
   attribute-aware's and blest's path is chosen once per config); every
@@ -42,12 +42,14 @@ Cells use the default topology, 300 steps, seed 0 and default AIMD:
   A run without an rng stops stepping once its state recurs (see
   mpsim.engine): the N = 10 cells never recur and pay only the check,
   min_rtt at N = 25 recurs with a 154-step cycle that the check cannot
-  catch within 300 steps, and min_load at N = 50 and weighted round
+  catch within 300 steps, and the N = 50 herds and weighted round
   robin at N = 150 are the smallest grid counts at which they recur.
   A cell that recurs spends its time on the few steps it computes (6 of
-  300 for min_rtt and round robin at N = 500 and above, 18 for min_load,
-  70 for weighted round robin from N = 150 on); it keeps the rest as a
-  count of cycle repeats and builds no copy (up to BENCH_19.json each
+  300 for min_rtt and round robin at N = 500 and above, 12 for min_load
+  and the N = 50 herds, 24 for weighted round robin from N = 250 on and
+  47 at N = 150; 18, 18, 70 and 70 up to BENCH_22.json, while the
+  cycle search's first reaches were 1 and 2 steps); it keeps the rest
+  as a count of cycle repeats and builds no copy (up to BENCH_19.json each
   copy was built, its slots set in bulk at about 0.25 us a copy). Its
   final windows are one tuple repetition per cohort or cursor class, so
   a herd's run() at N = 100,000 takes about twice what it takes at
@@ -57,7 +59,7 @@ Cells use the default topology, 300 steps, seed 0 and default AIMD:
   for min_rtt (one distinct window) and epsilon-greedy (many) at N = 10
   and 500, min_rtt, weighted round robin and epsilon-greedy at N = 2000
   and 100,000, and weighted round robin at N = 150, whose loads cycle
-  with period 23 after an 8-step prefix (run() computes 70 of its 300
+  with period 23 after an 8-step prefix (run() computes 47 of its 300
   steps and keeps the rest as cycle repeats). score() adds a kept
   cycle's step values per repeat, or at once where they are all equal,
   without building its copies; the N = 10 cells never recur;
@@ -82,12 +84,13 @@ import time
 
 SHARED = ("min_rtt", "min_load", "attribute_aware", "blest", "round_robin")
 STRATEGIES = SHARED + ("weighted_round_robin", "epsilon_greedy")
-RUN_CELLS = ([("weighted_round_robin", 0.1, n) for n in (10, 25, 50, 100, 150, 500)]
+RUN_CELLS = ([("weighted_round_robin", 0.1, n) for n in (10, 25, 50, 100, 150, 250, 500)]
              + [("epsilon_greedy", eps, n) for eps in (0.0, 0.1, 0.5) for n in (10, 500)]
              + [("epsilon_greedy", 0.1, n) for n in (25, 50, 100, 250)]
              + [("epsilon_greedy", 0.3, 500)]
              + [(name, 0.1, n) for name in ("min_rtt", "round_robin") for n in (10, 500)]
-             + [("min_rtt", 0.1, 25), ("min_load", 0.1, 50)]
+             + [("min_rtt", 0.1, 25)]
+             + [(name, 0.1, 50) for name in ("min_load", "min_rtt", "attribute_aware", "blest")]
              + [(name, 0.1, 10) for name in ("min_load", "attribute_aware", "blest")]
              + [(name, 0.1, 5000) for name in STRATEGIES]
              + [(name, 0.1, 100_000) for name in SHARED]

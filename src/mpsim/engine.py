@@ -87,12 +87,15 @@ from step m + 1 with period t - m, bit for bit. run() compares each
 step's state with a mark that it moves at doubling distances (Brent,
 "An improved Monte Carlo factorization algorithm", BIT 20, 1980),
 testing the loads first: one tuple compare per step on a run that
-never recurs. On a match it keeps the remaining whole cycles of
-records, which end in the same state, as a count (`Records`), builds
-the record of the last copied step for the leftover steps to read, and
-steps those. `metrics.score` adds the cycle's values per repeat; a
-copy is built only when the records are read, sharing its cycle
-record's tuples.
+never recurs. The first mark is the state after step 0 and every
+reach is a multiple of the phase (one phase, then doubling): a mark
+held for fewer steps than the phase meets no state a multiple of the
+phase after it, so it could never close a cycle. On a match it keeps
+the remaining whole cycles of records, which end in the same state, as
+a count (`Records`), builds the record of the last copied step for the
+leftover steps to read, and steps those. `metrics.score` adds the
+cycle's values per repeat; a copy is built only when the records are
+read, sharing its cycle record's tuples.
 Epsilon-greedy at epsilon > 0 is excluded: the run's rng is part of
 its state, and its stream never repeats within a run.
 
@@ -722,8 +725,9 @@ def run(config: SimConfig) -> Telemetry:
             rng = random.Random(str(config.seed))
 
     # Brent's mark: the state after step `mark`, moved to the current step
-    # whenever the distance reaches `reach`, which then doubles. A cycle's
-    # length must be a multiple of the phase of the rules that read t
+    # whenever the distance reaches `reach`, which then doubles, but is at
+    # least the phase: a cycle's length is a multiple of it. The first mark
+    # is the state after step 0, with a reach of one phase
     phase = len(schedule) if schedule else len(config.topology.paths)
     watching = rng is None
     mark, mark_loads, mark_cwnds, reach = -1, None, None, 1
@@ -747,7 +751,7 @@ def run(config: SimConfig) -> Telemetry:
                 prev = _record(t, prev.loads, prev.overflows, prev.inst_rtts)
                 watching = False
             elif t - mark == reach:
-                mark, mark_loads, reach = t, prev.loads, 2 * reach
+                mark, mark_loads, reach = t, prev.loads, max(2 * reach, phase)
                 mark_cwnds = [agent.cwnd for agent in agents]
         t += 1
     if schedule:

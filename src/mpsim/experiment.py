@@ -151,9 +151,10 @@ def emit_epsilon(points: list[EpsilonPoint], raw: bool = False) -> str:
 def parse_summary_csv(text: str) -> list[SummaryRow]:
     """Read back a summary CSV (raw or rounded) for re-rendering.
 
-    A row with an unknown strategy or a number that does not parse or is
-    not finite is refused with its row (the header is row 1) and column,
-    a row that is not readable CSV with its row.
+    A row with an unknown strategy, a number that does not parse or is
+    not finite, or an agent count below 1 is refused with its row (the
+    header is row 1) and column, a row that is not readable CSV with its
+    row.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -183,6 +184,8 @@ def _summary_rows(reader) -> list[SummaryRow]:
             agents = int(record[1])
         except ValueError:
             raise ValueError(f"{where}, column 'agents': not an integer: {record[1]!r}") from None
+        if agents < 1:
+            raise ValueError(f"{where}, column 'agents': not a positive integer: {record[1]!r}")
         values = []
         for column, raw in zip(SUMMARY_HEADER[2:], record[2:]):
             try:

@@ -90,7 +90,9 @@ def parse_topology(config_text: str) -> Topology:
     """Parse and validate a JSON topology config.
 
     Unknown fields are rejected rather than ignored so that a typo in an
-    experiment config cannot silently fall back to defaults.
+    experiment config cannot silently fall back to defaults. Text that
+    json cannot read, nesting too deep for its parser or an integer
+    beyond the interpreter's digit limit included, is a TopologyError.
     """
     try:
         raw = json.loads(config_text)
@@ -98,6 +100,11 @@ def parse_topology(config_text: str) -> Topology:
         raise TopologyError(
             f"config is not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from None
+    except RecursionError:
+        raise TopologyError("config is nested too deeply") from None
+    except ValueError:
+        # the interpreter's limit on the digits of an integer literal
+        raise TopologyError("config has an integer with too many digits") from None
 
     if not isinstance(raw, dict):
         raise TopologyError("top-level config must be a JSON object")

@@ -130,6 +130,20 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith(f"error: paths[1]: '{field}' must be finite")
 
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 100_000, "error: config is nested too deeply"),
+        ('{"name": "x", "paths": [{"id": 1, "capacity_mbps": ' + "9" * 5000
+         + ', "base_rtt_ms": 5}]}', "error: config has an integer with too many digits"),
+    ], ids=["deep-nesting", "5000-digit-integer"])
+    def test_json_the_parser_cannot_read_exits_2(self, tmp_path, capsys, text, message):
+        topo = tmp_path / "topo.json"
+        topo.write_text(text)
+        code = run_cli(["run", "--strategy", "min_rtt", "--topology", str(topo)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
     def test_attribute_aware_with_every_path_forbidden_exits_2(self, tmp_path, capsys):
         topo = tmp_path / "topo.json"
         topo.write_text(json.dumps({"name": "all-high-cost", "paths": [
@@ -401,6 +415,16 @@ class TestReport:
         bad.write_text("strategy,agents\nmin_rtt,10\n")
         code = run_cli(["report", "--in", str(bad)])
         assert code == 2
+
+    @pytest.mark.parametrize("agents", ["0", "-5"])
+    def test_agent_count_below_1_exits_2(self, tmp_path, capsys, agents):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("strategy,agents,oscillation,loss,fairness,efficiency,"
+                       f"stability,loss_avoidance\nmin_rtt,{agents},4.25,2.44,0.33,44.79,0.19,0.29\n")
+        assert run_cli(["report", "--in", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: row 2, column 'agents': not a positive integer: '{agents}'\n"
 
     def test_field_beyond_the_csv_limit_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -428,6 +428,31 @@ def computed_steps(monkeypatch, cfg):
     return telemetry, calls
 
 
+def least_phase_lag(cfg):
+    """The least lag, a multiple of the phase, at which the state after some
+    step (the step's loads and windows) recurs within the run, found by
+    comparing every pair of states; 0 where none recurs. It steps the
+    module's step() from run()'s layout for every one of the run's steps."""
+    schedule = None
+    if cfg.strategy.name == "weighted_round_robin":
+        schedule = wrr_schedule(cfg.topology.capacities())
+        classes = min(cfg.num_agents, len(schedule))
+        rounds, rest = divmod(cfg.num_agents, classes)
+        agents = [AgentState(cwnd=float(cfg.aimd.initial_cwnd), count=rounds + (k < rest))
+                  for k in range(classes)]
+    else:
+        agents = [AgentState(cwnd=float(cfg.aimd.initial_cwnd), count=cfg.num_agents)]
+    phase = len(schedule) if schedule else cfg.topology.path_count
+    states, record = [], None
+    for _ in range(cfg.engine.steps):
+        record = mpsim.engine.step(agents, record, cfg, schedule)
+        states.append((record.loads, [(agent.cwnd, agent.count) for agent in agents]))
+    for lag in range(phase, len(states), phase):
+        if any(states[m] == states[m + lag] for m in range(len(states) - lag)):
+            return lag
+    return 0
+
+
 class TestStepContract:
     # run() must reach step() through the module global for every step it
     # computes: perfbench's capture probe wraps it there. Runs with an rng
@@ -729,6 +754,24 @@ class TestRecurrenceReplay:
         telemetry, calls = computed_steps(monkeypatch, cfg)
         assert len(calls) < steps
         assert [r.step for r in telemetry.records] == list(range(steps))
+        assert oracle_agrees(telemetry)
+
+    # Brent's first mark is the state after step 0 and every reach a
+    # multiple of the phase (3 paths, or 23 slots): a settled herd or flip
+    # closes its cycle at the first mark after it settles, and the records
+    # keep the least cycle whose length is a multiple of the phase
+    @pytest.mark.parametrize("strategy, agents, computed", [
+        ("min_load", 150, 12), ("min_load", 500, 12), ("min_load", 2000, 12),
+        ("min_rtt", 50, 12), ("attribute_aware", 50, 12), ("blest", 50, 12),
+        ("weighted_round_robin", 250, 24), ("weighted_round_robin", 500, 24),
+        ("weighted_round_robin", 150, 47),
+        ("min_rtt", 100, 6), ("round_robin", 100, 6),
+    ])
+    def test_cycle_is_found_at_the_phase_scale(self, monkeypatch, strategy, agents, computed):
+        cfg = config(strategy, agents=agents, steps=300)
+        telemetry, calls = computed_steps(monkeypatch, cfg)
+        assert len(calls) == computed
+        assert telemetry.records.period == least_phase_lag(cfg) > 0
         assert oracle_agrees(telemetry)
 
     @settings(max_examples=40, deadline=None)

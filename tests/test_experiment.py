@@ -152,7 +152,7 @@ class TestEmitSummary:
         assert parse_summary_csv(text) == rows
 
     @given(st.lists(st.builds(
-        SummaryRow, st.sampled_from(STRATEGY_NAMES), st.integers(),
+        SummaryRow, st.sampled_from(STRATEGY_NAMES), st.integers(min_value=1),
         *[st.floats(allow_nan=False, allow_infinity=False)] * 6), min_size=1, max_size=8))
     def test_raw_round_trips_generated_rows(self, rows):
         assert parse_summary_csv(emit_summary(rows, raw=True)) == rows
@@ -190,6 +190,15 @@ class TestParseSummaryCsv:
         fields[SUMMARY_HEADER.index(column)] = value
         lines[2] = ",".join(fields)
         with pytest.raises(ValueError, match=f"row 3, column '{column}'.*{value}"):
+            parse_summary_csv("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("agents", ["0", "-5"])
+    def test_rejects_an_agent_count_below_1_naming_row_and_column(self, agents):
+        lines = emit_summary([TestEmitSummary.ROW, TestEmitSummary.ROW]).splitlines()
+        fields = lines[2].split(",")
+        fields[SUMMARY_HEADER.index("agents")] = agents
+        lines[2] = ",".join(fields)
+        with pytest.raises(ValueError, match=f"row 3, column 'agents'.*'{agents}'"):
             parse_summary_csv("\n".join(lines) + "\n")
 
     def test_rejects_a_field_beyond_the_csv_limit_naming_its_row(self):

@@ -80,6 +80,18 @@ def test_integer_beyond_float_range_rejected(field, value):
         parse_topology(two_paths_with(field, value))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[" * 100_000, "nested too deeply"),
+    ('{"name": "x", "paths": [{"id": 1, "capacity_mbps": ' + "9" * 5000
+     + ', "base_rtt_ms": 5}]}', "integer with too many digits"),
+], ids=["deep-nesting", "5000-digit-integer"])
+def test_json_the_parser_cannot_read_rejected(text, message):
+    # json.loads raises RecursionError and, past the interpreter's digit
+    # limit for int(), a plain ValueError: neither is a JSONDecodeError
+    with pytest.raises(TopologyError, match=message):
+        parse_topology(text)
+
+
 def test_malformed_json_reports_position():
     with pytest.raises(TopologyError, match=r"line \d+, column \d+"):
         parse_topology('{"name": "x", "paths": [}')
