@@ -20,16 +20,23 @@ dataclasses differing, read 1.02-1.04 on the epsilon 0.1 cells at
 N = 50-250 (16 rounds, quartiles up to 1.046), so a 2-4% ratio in one
 cell is within the noise. Per cell the JSON gives the median and quartiles
 over rounds of the paired ratio after/before (below 1 is faster), each
-side's median sample, and whether both sides' outputs are equal. It
-also records nproc, the CPU, the Python version and both commits.
+side's median sample, and whether both sides' outputs are equal. The side
+medians (`before_ms`, `after_ms`) are unpaired, and the top-level
+`unpaired` key lists them: on a host whose speed shifts during a run they
+can disagree with the ratio (a cell that computes the same steps on both
+sides read 0.783 -> 1.210 ms with a ratio of 1.010), so a change is read
+off the ratio only. Files written before that key existed hold the same
+fields. It also records nproc, the CPU, the Python version and both
+commits.
 --only times just the cells whose name contains SUBSTRING (say
 `epsilon_greedy[0.1]`), leaving out, among others, the N = 100,000 cells.
 
 Cells use the default topology, 300 steps, seed 0 and default AIMD:
 - `run()` of weighted round robin at N = 10, 25, 50, 100, 150, 250 and
   500, epsilon-greedy at epsilon 0, 0.1 and 0.5 with N = 10 and 500 and
-  at epsilon 0.1 with N = 25, 50, 100 and 250 and at epsilon 0.3 with
-  N = 500, min_rtt and round robin at N = 10 and 500, min_rtt at N = 25,
+  at epsilon 0.1 with N = 25, 50, 100 and 250 and at epsilon 0.2, 0.3
+  and 0.4 with N = 500 (perfbench's `explore_500` runs epsilon 0 to 0.5
+  in steps of 0.1 at N = 500), min_rtt and round robin at N = 10 and 500, min_rtt at N = 25,
   min_load, min_rtt, attribute_aware and blest at N = 50, min_load,
   attribute_aware and blest at N = 10 (cells that never recur, so
   run() computes every step: min-load's rule runs on each, while
@@ -87,7 +94,7 @@ STRATEGIES = SHARED + ("weighted_round_robin", "epsilon_greedy")
 RUN_CELLS = ([("weighted_round_robin", 0.1, n) for n in (10, 25, 50, 100, 150, 250, 500)]
              + [("epsilon_greedy", eps, n) for eps in (0.0, 0.1, 0.5) for n in (10, 500)]
              + [("epsilon_greedy", 0.1, n) for n in (25, 50, 100, 250)]
-             + [("epsilon_greedy", 0.3, 500)]
+             + [("epsilon_greedy", eps, 500) for eps in (0.2, 0.3, 0.4)]
              + [(name, 0.1, n) for name in ("min_rtt", "round_robin") for n in (10, 500)]
              + [("min_rtt", 0.1, 25)]
              + [(name, 0.1, 50) for name in ("min_load", "min_rtt", "attribute_aware", "blest")]
@@ -276,6 +283,7 @@ def _measure(args, scratch):
     return {
         "harness": "benchmarks/ab_run.py",
         "unit": "ms",
+        "unpaired": ["before_ms", "after_ms"],
         "rounds": args.rounds,
         "min_ms": args.min_ms,
         "only": args.only,

@@ -65,13 +65,16 @@ agent picks path 1 + t mod P; the N agents that run() starts as one
 cohort stay one. Epsilon-greedy's rule is min-RTT's, the path its
 exploiters take; at epsilon > 0 some agents explore, all drawing from
 one stream per run. Each step a cohort of k agents draws X ~ Bin(k,
-epsilon) explorers, exact in distribution (`binomialvariate`), and
-spreads them over the P paths in path order by Bin(left, 1 / (P - j)),
-the sequential form of a multinomial with equal cells; its k - X
-exploiters take the rule's path. A cohort of one draws as a single
-agent: one uniform against epsilon, then the explored index. So the
+epsilon) explorers, exact in distribution (`binomialvariate`, which
+caches its constants and draws as it would without them), and spreads
+them over the P paths in path order by Bin(left, 1 / (P - j)), the
+sequential form of a multinomial with equal cells; its k - X exploiters
+take the rule's path. A cohort of one draws as a single agent: one
+uniform against epsilon, then the explored index; a share of one agent
+is one uniform against 1 / (P - j), its load one addition. So the
 counts on each path have exactly the law of k independent agents'
-choices, and each path's load adds its share of each cohort's window. A
+choices, and each path's load adds its share of each cohort's window.
+A share split off is a new state, built without the constructor. A
 step costs O(cohorts x P) instead of O(N): at N = 500 and epsilon 0.1
 about 5 cohorts, most agents sitting on the floor.
 
@@ -244,16 +247,17 @@ class SimConfig:
         order: the base RTTs as floats, which every record holds; the path
         of a rule that reads only them, or 0; a rule that step() calls
         every step, or None (both 0 and None for weighted round robin);
-        whether it draws (epsilon-greedy at epsilon > 0), epsilon,
-        mbps_per_cwnd, the capacities, each path's loss-free increment,
-        beta and the floor. Attribute-aware's rule raises here, on the
-        run's first step, when every path is forbidden."""
+        whether it draws (epsilon-greedy at epsilon > 0), epsilon, path
+        j's spread probability 1 / (P - j), mbps_per_cwnd, the capacities,
+        each path's loss-free increment, beta and the floor. Attribute-aware's
+        rule raises on the run's first step when every path is forbidden."""
         strategy, aimd, paths = self.strategy, self.aimd, self.topology.paths
         rtts = tuple(float(path.base_rtt_ms) for path in paths)
         rule, constant = _SHARED_CHOICE.get(strategy.name, (None, False))
         return (
             rtts, rule(self, rtts) if constant else 0, None if constant else rule,
             strategy.name == "epsilon_greedy" and strategy.epsilon > 0, strategy.epsilon,
+            tuple(1.0 / (len(paths) - j) for j in range(len(paths))),
             aimd.mbps_per_cwnd, self.topology.capacities(),
             tuple(aimd.alpha * (self.engine.step_ms / rtt) for rtt in rtts),
             aimd.beta, aimd.cwnd_floor)
@@ -405,6 +409,17 @@ def _repeated_add(total: float, x: float, count: int) -> float:
     return total
 
 
+_SAMPLER_CONSTANTS: dict = {}
+_SAMPLER_CONSTANTS_BOUND = 1024
+
+
+def _cache_constants(key, constants):
+    if len(_SAMPLER_CONSTANTS) >= _SAMPLER_CONSTANTS_BOUND:
+        _SAMPLER_CONSTANTS.clear()
+    _SAMPLER_CONSTANTS[key] = constants
+    return constants
+
+
 def binomialvariate(random, n: int, p: float) -> int:
     """A draw of Bin(n, p), exact in distribution, from the uniforms of
     `random` (a `random.Random`'s bound method): CPython 3.12's
@@ -412,7 +427,10 @@ def binomialvariate(random, n: int, p: float) -> int:
     below n * p = 10 Devroye's geometric method (Non-Uniform Random
     Variate Generation, 1986, ch. X), above it Hörmann's BTRS (J. Stat.
     Comput. Simul. 46, 1993). Unlike CPython, n = 0 draws nothing and a
-    uniform of 0.0 reaches no log or division."""
+    uniform of 0.0 reaches no log or division. Its constants, pure values,
+    come from `_SAMPLER_CONSTANTS`, emptied at 1024 keys (a run at N = 500
+    uses 95-307): log2(1 - p) under p, BTRS's eight under (n, p). A draw
+    takes the same uniforms and returns the same value as without it."""
     if not n or p <= 0.0:
         return 0
     if p >= 1.0:
@@ -424,7 +442,7 @@ def binomialvariate(random, n: int, p: float) -> int:
     if n * p < 10.0:
         # the gaps between successes are geometric: count the successes
         # whose trial index stays within n
-        c = _log2(1.0 - p)
+        c = _SAMPLER_CONSTANTS.get(p) or _cache_constants(p, _log2(1.0 - p))
         if not c:
             return 0
         x = y = 0
@@ -433,12 +451,15 @@ def binomialvariate(random, n: int, p: float) -> int:
             if y > n:
                 return x
             x += 1
-    spq = _sqrt(n * p * (1.0 - p))
-    b = 1.15 + 2.53 * spq
-    a = -0.0873 + 0.0248 * b + 0.01 * p
-    c = n * p + 0.5
-    vr = 0.92 - 4.2 / b
-    alpha = lpq = m = h = None
+    constants = _SAMPLER_CONSTANTS.get((n, p))
+    if constants is None:
+        spq = _sqrt(n * p * (1.0 - p))
+        b = 1.15 + 2.53 * spq
+        m = _floor((n + 1) * p)
+        constants = _cache_constants((n, p), (
+            b, -0.0873 + 0.0248 * b + 0.01 * p, n * p + 0.5, 0.92 - 4.2 / b,
+            (2.83 + 5.1 / b) * spq, _log(p / (1.0 - p)), m, _lgamma(m + 1) + _lgamma(n - m + 1)))
+    b, a, c, vr, alpha, lpq, m, h = constants
     while True:
         u = random() - 0.5
         us = 0.5 - abs(u)
@@ -450,11 +471,6 @@ def binomialvariate(random, n: int, p: float) -> int:
         v = random()
         if us >= 0.07 and v <= vr:
             return k
-        if alpha is None:
-            alpha = (2.83 + 5.1 / b) * spq
-            lpq = _log(p / (1.0 - p))
-            m = _floor((n + 1) * p)
-            h = _lgamma(m + 1) + _lgamma(n - m + 1)
         v *= alpha / (a / (us * us) + b)
         if not v or (_log(v) <= h - _lgamma(k + 1) - _lgamma(n - k + 1)
                      + (k - m) * lpq):
@@ -543,8 +559,8 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
     A cohort strategy's list ends the step as the new cohorts. The step
     index follows `prev_record`'s."""
     t = 0 if prev_record is None else prev_record.step + 1
-    (rtts, constant_path, rule, draws, epsilon, mbps_per_cwnd, capacities, increments,
-     beta, floor) = config._constants
+    (rtts, constant_path, rule, draws, epsilon, spreads, mbps_per_cwnd, capacities,
+     increments, beta, floor) = config._constants
     path_count = len(capacities)
     loads = [0.0] * path_count
 
@@ -616,9 +632,9 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
                     continue
                 # Bin(count, epsilon) explorers, spread over the paths in path
                 # order by Bin(left, 1 / paths left), a multinomial of equal
-                # cells; the last path takes the rest, which is what its
-                # Bin(left, 1) would return without a draw. The exploiters
-                # join the min-RTT path's share
+                # cells (Bin(1, q) is one uniform against q); the last path
+                # takes the rest, what its Bin(left, 1) returns without a
+                # draw. The exploiters join the min-RTT path's share
                 count = agent.count
                 load = agent.cwnd * mbps_per_cwnd
                 explorers = left = binomialvariate(uniform, count, epsilon)
@@ -629,23 +645,26 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
                     continue
                 state = agent
                 for path in range(path_count):
-                    share = (left if path == last_path
-                             else left and binomialvariate(uniform, left, 1.0 / (path_count - path)))
+                    share = (left if path == last_path or not left
+                             else (1 if uniform() < spreads[path] else 0) if left == 1
+                             else binomialvariate(uniform, left, spreads[path]))
                     left -= share
                     if path == exploit:
                         share += count - explorers
                     if not share:
                         continue
                     if state is None:
-                        state = AgentState(agent.cwnd, path + 1, share)
+                        state = object.__new__(AgentState)
+                        state.cwnd = agent.cwnd
                         born.append(state)
-                    else:
-                        state.chosen_path, state.count = path + 1, share
+                    state.chosen_path, state.count = path + 1, share
                     members[path].append(state)
                     if path == exploit:
-                        exploit_load = _repeated_add(exploit_load, load, share)
+                        exploit_load = (exploit_load + load if share == 1
+                                        else _repeated_add(exploit_load, load, share))
                     else:
-                        loads[path] = _repeated_add(loads[path], load, share)
+                        loads[path] = (loads[path] + load if share == 1
+                                       else _repeated_add(loads[path], load, share))
                     state = None
             loads[exploit] = exploit_load
             agents += born

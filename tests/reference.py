@@ -3,10 +3,11 @@
 Deliberately naive: plain dicts and per-agent loops. Selection rules,
 the smooth-WRR schedule, the window update and epsilon-greedy's
 cohort draws are re-spelled here from scratch so the production engine
-has an independent implementation to be checked against. The one piece
-of code shared with mpsim.engine is the binomial sampler
-`binomialvariate`, whose exactness the unit tests check against the
-binomial pmf on their own.
+has an independent implementation to be checked against. It shares no
+code with mpsim.engine: the binomial sampler `binomialvariate` is its
+own straight-line copy of the engine's, computing every constant on
+each call, which the unit tests check draw for draw against the
+engine's cached one and against the binomial pmf.
 
 It also keeps the single-agent formulas that the engine inlines and
 the package therefore no longer exports: the RTT view, pro-rata loss,
@@ -20,9 +21,59 @@ follow from the step index.
 import math
 import random
 
-from mpsim.engine import binomialvariate
-
 HIGH_COST = "high-cost"
+
+
+def binomialvariate(random, n, p):
+    """A draw of Bin(n, p) from the uniforms of `random`: by symmetry
+    p <= 0.5, below n * p = 10 Devroye's geometric method, above it
+    Hörmann's BTRS, as CPython 3.12's random.binomialvariate draws it,
+    except that n = 0 draws nothing and a uniform of 0.0 reaches no log
+    or division."""
+    if not n or p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    if n == 1:
+        return 1 if random() < p else 0
+    if p > 0.5:
+        return n - binomialvariate(random, n, 1.0 - p)
+    if n * p < 10.0:
+        c = math.log2(1.0 - p)
+        if not c:
+            return 0
+        x = y = 0
+        while True:
+            y += math.floor(math.log2(1.0 - random()) / c) + 1
+            if y > n:
+                return x
+            x += 1
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    alpha = lpq = m = h = None
+    while True:
+        u = random() - 0.5
+        us = 0.5 - abs(u)
+        if not us:
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = random()
+        if us >= 0.07 and v <= vr:
+            return k
+        if alpha is None:
+            alpha = (2.83 + 5.1 / b) * spq
+            lpq = math.log(p / (1.0 - p))
+            m = math.floor((n + 1) * p)
+            h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
+        v *= alpha / (a / (us * us) + b)
+        if not v or (math.log(v) <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                     + (k - m) * lpq):
+            return k
 
 
 def smooth_wrr_slots(capacities):

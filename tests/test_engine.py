@@ -35,6 +35,7 @@ from mpsim.engine import (
     binomialvariate,
 )
 from reference import apportion_loss, oracle_agrees, rtt_instantaneous, update_cwnd
+from reference import binomialvariate as reference_binomialvariate
 
 AIMD = AimdParams()
 
@@ -671,10 +672,12 @@ class TestCohortsAgainstOracle:
         assert oracle_agrees(run(cfg))
 
     # epsilon 0 runs as one state; epsilon 1 explores on every draw, and
-    # the explored index's rejection loop redraws a quarter (3 paths) or
-    # half (2 and 4 paths) of its getrandbits draws
-    @pytest.mark.parametrize("path_count", [2, 3, 4])
-    @pytest.mark.parametrize("epsilon", [0.0, 1.0])
+    # the explored index's rejection loop redraws a quarter (3 paths),
+    # half (2 and 4 paths) or three eighths (5 paths) of its getrandbits
+    # draws. On one path every spread ends on its last path, which takes
+    # the explorers without a draw
+    @pytest.mark.parametrize("path_count", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
     def test_epsilon_extremes_match_oracle(self, epsilon, path_count):
         cfg = config("epsilon_greedy", agents=40, steps=40, seed=3, epsilon=epsilon,
                      topology=paths_topology(path_count))
@@ -1470,3 +1473,61 @@ class TestExactDraws:
         for j, tally in enumerate(observed):
             prob = (1 - epsilon if j == 0 else 0.0) + epsilon / path_count
             assert chi2_pvalue(tally, binomial_pmf(agents, prob)) > 0.001
+
+
+class TestSamplerCache:
+    # binomialvariate reads its constants from a bounded cache; the
+    # oracle's copy computes them on every call. Both must return the
+    # same value and leave the stream in the same state, whether the
+    # cache is cold, warm or has been emptied at its bound
+    NS = list(range(61)) + [100, 450, 1000, 5000, 100_000]
+    PS = [0.0, 0.05, 0.1, 0.2, 1 / 3, 0.5, 0.6, 0.7, 0.9, 1.0]
+
+    @staticmethod
+    def assert_same_draws(cases, seed):
+        engine_rng, reference_rng = random.Random(seed), random.Random(seed)
+        for n, p in cases:
+            drawn = binomialvariate(engine_rng.random, n, p)
+            assert drawn == reference_binomialvariate(reference_rng.random, n, p), (n, p)
+            assert engine_rng.getstate() == reference_rng.getstate(), (n, p)
+
+    @pytest.mark.parametrize("seed", ["cold", 7, -7])
+    def test_draws_match_the_reference_cold_and_warm(self, seed):
+        cases = [(n, p) for n in self.NS for p in self.PS]
+        mpsim.engine._SAMPLER_CONSTANTS.clear()
+        self.assert_same_draws(cases, seed)
+        # every key is now cached (fewer keys than the bound): the same
+        # cases again, and from another point of the stream
+        cached = len(mpsim.engine._SAMPLER_CONSTANTS)
+        assert 0 < cached < mpsim.engine._SAMPLER_CONSTANTS_BOUND
+        self.assert_same_draws(cases, seed)
+        self.assert_same_draws(cases[::-1], f"{seed}-reversed")
+        assert len(mpsim.engine._SAMPLER_CONSTANTS) == cached
+
+    def test_cache_stays_within_its_bound(self):
+        bound = mpsim.engine._SAMPLER_CONSTANTS_BOUND
+        cache = mpsim.engine._SAMPLER_CONSTANTS
+        cache.clear()
+        # BTRS keys (n p >= 10) and geometric ones (one per p), more
+        # distinct than the bound holds
+        cases = ([(n, 0.3) for n in range(40, 40 + bound + 300)]
+                 + [(5, 0.01 + i / 4096) for i in range(300)])
+        engine_rng, reference_rng = random.Random("bound"), random.Random("bound")
+        sizes = []
+        for n, p in cases:
+            drawn = binomialvariate(engine_rng.random, n, p)
+            assert drawn == reference_binomialvariate(reference_rng.random, n, p), (n, p)
+            sizes.append(len(cache))
+        assert engine_rng.getstate() == reference_rng.getstate()
+        assert max(sizes) == bound and sizes[-1] < bound
+        # the keys emptied out of the cache draw as the reference does
+        self.assert_same_draws(cases[:bound], "evicted")
+        assert len(cache) <= bound
+
+    def test_run_is_the_same_with_a_cold_or_a_warm_cache(self):
+        cfg = config("epsilon_greedy", agents=500, epsilon=0.3)
+        mpsim.engine._SAMPLER_CONSTANTS.clear()
+        cold = run(cfg)
+        assert mpsim.engine._SAMPLER_CONSTANTS
+        warm = run(dataclasses.replace(cfg))
+        assert warm.records == cold.records and warm.final_cwnds == cold.final_cwnds
