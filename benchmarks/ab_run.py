@@ -36,7 +36,8 @@ Cells use the default topology, 300 steps, seed 0 and default AIMD:
   500, epsilon-greedy at epsilon 0, 0.1 and 0.5 with N = 10 and 500 and
   at epsilon 0.1 with N = 25, 50, 100 and 250 and at epsilon 0.2, 0.3
   and 0.4 with N = 500 (perfbench's `explore_500` runs epsilon 0 to 0.5
-  in steps of 0.1 at N = 500), min_rtt and round robin at N = 10 and 500, min_rtt at N = 25,
+  in steps of 0.1 at N = 500), min_rtt and round robin at N = 10 and
+  500, min_rtt at N = 25,
   min_load, min_rtt, attribute_aware and blest at N = 50, min_load,
   attribute_aware and blest at N = 10 (cells that never recur, so
   run() computes every step: min-load's rule runs on each, while

@@ -441,7 +441,8 @@ def binomialvariate(random, n: int, p: float) -> int:
         return n - binomialvariate(random, n, 1.0 - p)
     if n * p < 10.0:
         # the gaps between successes are geometric: count the successes
-        # whose trial index stays within n
+        # whose trial index stays within n (a cached 0.0, for p up to
+        # 2**-54, is computed again, and then draws nothing)
         c = _SAMPLER_CONSTANTS.get(p) or _cache_constants(p, _log2(1.0 - p))
         if not c:
             return 0

@@ -1529,5 +1529,5 @@ class TestSamplerCache:
         mpsim.engine._SAMPLER_CONSTANTS.clear()
         cold = run(cfg)
         assert mpsim.engine._SAMPLER_CONSTANTS
-        warm = run(dataclasses.replace(cfg))
+        warm = run(cfg)
         assert warm.records == cold.records and warm.final_cwnds == cold.final_cwnds
