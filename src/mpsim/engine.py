@@ -429,7 +429,7 @@ def binomialvariate(random, n: int, p: float) -> int:
     Comput. Simul. 46, 1993). Unlike CPython, n = 0 draws nothing and a
     uniform of 0.0 reaches no log or division. Its constants, pure values,
     come from `_SAMPLER_CONSTANTS`, emptied at 1024 keys (a run at N = 500
-    uses 95-307): log2(1 - p) under p, BTRS's eight under (n, p). A draw
+    uses 98-309): log2(1 - p) under p, BTRS's eight under (n, p). A draw
     takes the same uniforms and returns the same value as without it."""
     if not n or p <= 0.0:
         return 0
