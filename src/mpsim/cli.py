@@ -139,8 +139,7 @@ def cmd_sweep(args) -> int:
     _refuse_unread_flags(args)
     if args.epsilon_grid is not None:
         if not args.epsilon_grid:
-            print("error: empty epsilon grid", file=sys.stderr)
-            return 2
+            raise ValueError("empty epsilon grid")
         agents = 500 if args.agents is None else args.agents
         points = sweep_epsilon(args.epsilon_grid, agents, _load_topology(args.topology),
                                steps=args.steps, seed=args.seed)
@@ -150,8 +149,7 @@ def cmd_sweep(args) -> int:
     names = args.strategies if args.strategies is not None else STRATEGY_NAMES
     counts = args.agents_list if args.agents_list is not None else DEFAULT_AGENT_COUNTS
     if not names or not counts:
-        print("error: empty sweep grid", file=sys.stderr)
-        return 2
+        raise ValueError("empty sweep grid")
     epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
     strategies = tuple(StrategyKind(name, epsilon=epsilon) for name in names)
     spec = SweepSpec(topology=_load_topology(args.topology), strategies=strategies,
@@ -166,11 +164,7 @@ def cmd_report(args) -> int:
         with open(args.infile, "r", encoding="utf-8") as handle:
             rows = parse_summary_csv(handle.read())
     except OSError as exc:
-        print(f"error: cannot read results file: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read results file: {exc}") from None
     _write_output(emit_summary(rows, fmt=args.format, raw=args.raw), args.out)
     return 0
 
@@ -231,7 +225,7 @@ def main(argv=None) -> int:
             raise ValueError("--raw applies only to CSV output, not to markdown")
         _refuse_unwritable(args.out, getattr(args, "timeseries", None))
         return args.func(args)
-    except (TopologyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,7 +35,9 @@ slots step() fills through their descriptors.
 
 Layouts: run() lays the N agents out as S states, each standing for
 `count` agents that share a window and a choice; agents that start
-equal and always choose alike stay identical. Weighted round robin
+equal and always choose alike stay identical. `SimConfig._constants`
+decides the layout once: weighted round robin's schedule (empty for
+every other strategy) and whether the run draws. Weighted round robin
 staggers agent i's cursor to slot i mod L of its L-slot schedule and
 advances it once a step, so it picks slot (i + t) mod L at step t and
 the agents of one cursor class stay identical: S = min(N, L), state k
@@ -43,9 +45,11 @@ standing for agents k, k + S, k + 2S, ... No state holds a cursor; it
 follows from the state's index in the list and the step index, which
 step() reads off the previous record. Agent order visits the states
 round by round, so a path's load is the sequential float sum over that
-periodic sequence, bit for bit the per-agent sum; `_repeated_add`
-computes a run of equal windows in O(log count) instead of O(count).
-run() lists the final windows the same way, by tuple repetition: each
+periodic sequence, bit for bit the per-agent sum. From
+`_COLUMNS_FROM_ROUND` rounds on, where each path's senders share one
+window, step() adds a path's later rounds as one run of its senders'
+counts less one each, which `_repeated_add` computes in O(log count)
+instead of O(count). run() lists the final windows the same way, by tuple repetition: each
 state's one float object repeated for its agents, the S cursor classes
 round by round or the cohorts one after another, with no Python step per
 agent.
@@ -140,15 +144,16 @@ _PLAIN_LOOP_BELOW = 300
 # costs about as much as this many plain additions
 _EXACT_TEST_FROM = 16
 _UNITS_PER_BINADE = 2 ** 53
-# from this many rounds of states on, _later_rounds tests whether each
-# path's column of windows is equal before it walks round by round. Timed
-# as run() of weighted round robin, 300 steps, on the default topology (23
-# cursor classes; benchmarks/ab_run.py's interleaving, 15 rounds, median
-# ratio to always walking, 2-vCPU x86_64 host, CPython 3.11.7): testing
-# from 6 rounds on took 1.16-1.18x at N = 150 (6 rounds) and 1.08-1.13x at
-# N = 184 and 200 (8 rounds), where some column differs on 299, 299 and 150
-# of the 300 steps, and 0.84-0.85x at N = 250 (10 rounds), 0.77x at N = 276
-# and 0.66x at N = 500, where none does
+# from this many rounds of states on, weighted round robin's step() tests
+# whether each path's senders share one window before it walks the later
+# rounds state by state. Timed as run() of weighted round robin, 300 steps,
+# on the default topology (23 cursor classes; benchmarks/ab_run.py's
+# interleaving, 15 rounds, median ratio to always walking, 2-vCPU x86_64
+# host, CPython 3.11.7): testing from 6 rounds on took 1.16-1.18x at
+# N = 150 (6 rounds) and 1.08-1.13x at N = 184 and 200 (8 rounds), where
+# some path's windows differ on 299, 299 and 150 of the 300 steps, and
+# 0.84-0.85x at N = 250 (10 rounds), 0.77x at N = 276 and 0.66x at
+# N = 500, where none does
 _COLUMNS_FROM_ROUND = 10
 
 
@@ -247,18 +252,23 @@ class SimConfig:
         order: the base RTTs as floats, which every record holds; the path
         of a rule that reads only them, or 0; a rule that step() calls
         every step, or None (both 0 and None for weighted round robin);
-        whether it draws (epsilon-greedy at epsilon > 0), epsilon, path
-        j's spread probability 1 / (P - j), mbps_per_cwnd, the capacities,
-        each path's loss-free increment, beta and the floor. Attribute-aware's
-        rule raises on the run's first step when every path is forbidden."""
+        weighted round robin's wrr_schedule, or () for every other
+        strategy; whether it draws (epsilon-greedy at epsilon > 0),
+        epsilon, path j's spread probability 1 / (P - j), mbps_per_cwnd,
+        the capacities, each path's loss-free increment, beta and the
+        floor; run() lays out its states by the schedule and the flag.
+        Attribute-aware's rule raises as the run starts when every path is
+        forbidden."""
         strategy, aimd, paths = self.strategy, self.aimd, self.topology.paths
         rtts = tuple(float(path.base_rtt_ms) for path in paths)
         rule, constant = _SHARED_CHOICE.get(strategy.name, (None, False))
+        capacities = self.topology.capacities()
         return (
             rtts, rule(self, rtts) if constant else 0, None if constant else rule,
+            wrr_schedule(capacities) if strategy.name == "weighted_round_robin" else (),
             strategy.name == "epsilon_greedy" and strategy.epsilon > 0, strategy.epsilon,
             tuple(1.0 / (len(paths) - j) for j in range(len(paths))),
-            aimd.mbps_per_cwnd, self.topology.capacities(),
+            aimd.mbps_per_cwnd, capacities,
             tuple(aimd.alpha * (self.engine.step_ms / rtt) for rtt in rtts),
             aimd.beta, aimd.cwnd_floor)
 
@@ -516,51 +526,18 @@ _SHARED_CHOICE = {"min_rtt": (_min_rtt, True), "attribute_aware": (_attribute_aw
                   "min_load": (_min_load, False), "round_robin": (_round_robin, False)}
 
 
-def _later_rounds(loads: list[float], agents: list[AgentState], num_agents: int,
-                  mbps_per_cwnd: float) -> None:
-    """Add to `loads`, in agent order, the windows of the agents after
-    the first round of the S = len(agents) states, whose first round
-    the caller has added.
-
-    Agent order visits the states round by round: N // S full rounds,
-    then the first N mod S states once more. Each path's part of one
-    round is its states' windows in state order (a column), so its
-    later load is that column repeated, then the column's prefix from
-    the partial round. When every column holds equal windows, each path
-    is one run of additions; otherwise the states are walked round by
-    round.
-    """
-    rounds, rest = divmod(num_agents, len(agents))
-    if rounds >= _COLUMNS_FROM_ROUND:
-        columns = [[] for _ in loads]
-        for agent in agents:
-            columns[agent.chosen_path - 1].append(agent.cwnd * mbps_per_cwnd)
-        if all(column.count(column[0]) == len(column) for column in columns if column):
-            heads = [0] * len(loads)
-            for agent in agents[:rest]:
-                heads[agent.chosen_path - 1] += 1
-            for i, column in enumerate(columns):
-                if column:
-                    loads[i] = _repeated_add(loads[i], column[0],
-                                             (rounds - 1) * len(column) + heads[i])
-            return
-    for agent in agents * (rounds - 1) + agents[:rest]:
-        loads[agent.chosen_path - 1] += agent.cwnd * mbps_per_cwnd
-
-
 def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimConfig,
-         schedule: tuple[int, ...] | None = None,
          rng: random.Random | None = None) -> StepRecord:
     """Advance the simulation one step, mutating the states in place.
 
     `agents` holds the states of all `config.num_agents` agents in
-    run()'s layout; `schedule` is weighted round robin's wrr_schedule and
-    `rng` the run's stream that epsilon-greedy at epsilon > 0 draws from.
-    Each is required by its strategy and refused by every other one.
-    A cohort strategy's list ends the step as the new cohorts. The step
+    run()'s layout; `rng` is the run's stream that epsilon-greedy at
+    epsilon > 0 draws from, required by it and refused by every other
+    strategy. Weighted round robin's schedule comes from the config. A
+    cohort strategy's list ends the step as the new cohorts. The step
     index follows `prev_record`'s."""
     t = 0 if prev_record is None else prev_record.step + 1
-    (rtts, constant_path, rule, draws, epsilon, spreads, mbps_per_cwnd, capacities,
+    (rtts, constant_path, rule, schedule, draws, epsilon, spreads, mbps_per_cwnd, capacities,
      increments, beta, floor) = config._constants
     path_count = len(capacities)
     loads = [0.0] * path_count
@@ -570,9 +547,7 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
                          else "only epsilon_greedy at epsilon > 0 draws from an rng")
     # `senders` pairs a path's index (path ids run 1..P in topology order)
     # with its states in agent order, for the path pass
-    if not (constant_path or rule):
-        if not schedule:
-            raise ValueError("weighted_round_robin needs its non-empty wrr_schedule")
+    if schedule:
         # state k's cursor starts at slot k and advances once a step
         # through the smooth schedule
         period = len(schedule)
@@ -583,11 +558,21 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
             members[path - 1].append(agent)
             loads[path - 1] += agent.cwnd * mbps_per_cwnd
         if len(agents) < config.num_agents:
-            _later_rounds(loads, agents, config.num_agents, mbps_per_cwnd)
+            # the agents after the first round: N // S - 1 more rounds of
+            # the S states, then the first N mod S (see "Layouts")
+            rounds, rest = divmod(config.num_agents, len(agents))
+            if rounds >= _COLUMNS_FROM_ROUND and all(
+                    len({state.cwnd for state in states}) < 2 for states in members):
+                for i, states in enumerate(members):
+                    if states:
+                        loads[i] = _repeated_add(loads[i], states[0].cwnd * mbps_per_cwnd,
+                                                 sum(state.count for state in states)
+                                                 - len(states))
+            else:
+                for agent in agents * (rounds - 1) + agents[:rest]:
+                    loads[agent.chosen_path - 1] += agent.cwnd * mbps_per_cwnd
         senders = enumerate(members)
     else:
-        if schedule is not None:
-            raise ValueError("only weighted_round_robin takes a wrr_schedule")
         choice = constant_path or rule(config, prev_record, t)
         if rng is None:
             # cohorts that never draw: all take the rule's path, in cohort order
@@ -696,7 +681,7 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
             for agent in states:
                 agent.cwnd += increment
 
-    if schedule is None and len(agents) > 1:
+    if not schedule and len(agents) > 1:
         # the new cohorts: the states in ascending window order, and where
         # the update made windows equal (say two cohorts halved onto the
         # floor) one state for them, which keeps the first one's path
@@ -724,25 +709,24 @@ def run(config: SimConfig) -> Telemetry:
     except in a run without an rng whose state recurs (see the module
     docstring): there Records keeps the remaining whole cycles as a
     count, and builds a copy, sharing the cycle's tuples, when read."""
-    strategy, agent_count = config.strategy, config.num_agents
+    agent_count = config.num_agents
     initial_cwnd = float(config.aimd.initial_cwnd)
-    schedule = rng = None
-    if strategy.name == "weighted_round_robin":
+    schedule, draws = config._constants[3:5]
+    if schedule:
         # weighted round robin staggers agent i's start slot to i mod L so
         # concurrent windows spread over the schedule instead of marching
         # on one path per step; each cursor class is one state
-        schedule = wrr_schedule(config.topology.capacities())
         classes = min(agent_count, len(schedule))
         rounds, rest = divmod(agent_count, classes)
         agents = [AgentState(cwnd=initial_cwnd, count=rounds + (k < rest))
                   for k in range(classes)]
     else:
         # one state of all N agents, which epsilon-greedy at epsilon > 0
-        # takes as its first cohort, with one stream for the run seeded
-        # from the seed's string: one SHA-512, and -s seeds apart from s
+        # takes as its first cohort
         agents = [AgentState(cwnd=initial_cwnd, count=agent_count)]
-        if strategy.name == "epsilon_greedy" and strategy.epsilon > 0:
-            rng = random.Random(str(config.seed))
+    # the stream that epsilon-greedy at epsilon > 0 draws from, one for the
+    # run seeded from the seed's string: one SHA-512, and -s seeds apart from s
+    rng = random.Random(str(config.seed)) if draws else None
 
     # Brent's mark: the state after step `mark`, moved to the current step
     # whenever the distance reaches `reach`, which then doubles, but is at
@@ -757,7 +741,7 @@ def run(config: SimConfig) -> Telemetry:
     prev: StepRecord | None = None
     t = 0
     while t < steps:
-        prev = step(agents, prev, config, schedule, rng)
+        prev = step(agents, prev, config, rng)
         records.append(prev)
         if watching:
             if (prev.loads == mark_loads and (t - mark) % phase == 0

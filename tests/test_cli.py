@@ -119,6 +119,15 @@ class TestRun:
         assert code == 2
         assert "capacity must be positive" in capsys.readouterr().err
 
+    def test_missing_topology_file_exits_2(self, tmp_path, capsys, run_calls):
+        missing = tmp_path / "absent.json"
+        code = run_cli(["run", "--strategy", "min_rtt", "--topology", str(missing)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read topology file: [Errno 2] No such file or directory: "
+            f"'{missing}'\n")
+        assert run_calls == []
+
     @pytest.mark.parametrize("field", ["capacity_mbps", "base_rtt_ms"])
     def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, field):
         topo = tmp_path / "topo.json"
@@ -273,6 +282,12 @@ class TestSweep:
         assert code == 2
         assert "empty sweep grid" in capsys.readouterr().err
 
+    def test_empty_epsilon_grid_exits_2(self, capsys, run_calls):
+        code = run_cli(["sweep", "--epsilon-grid", "", "--steps", "5"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: empty epsilon grid\n")
+        assert run_calls == []
+
     def test_unknown_strategy_exits_2(self, capsys):
         code = run_cli(["sweep", "--strategies", "minrtt", "--steps", "5"])
         assert code == 2
@@ -398,9 +413,12 @@ class TestReport:
         assert capsys.readouterr().out == raw.read_text()
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
-        code = run_cli(["report", "--in", str(tmp_path / "absent.csv")])
+        missing = tmp_path / "absent.csv"
+        code = run_cli(["report", "--in", str(missing)])
         assert code == 2
-        assert "cannot read" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: cannot read results file: [Errno 2] No such file or directory: "
+            f"'{missing}'\n")
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         raw = tmp_path / "results.csv"

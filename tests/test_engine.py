@@ -446,7 +446,7 @@ def least_phase_lag(cfg):
     phase = len(schedule) if schedule else cfg.topology.path_count
     states, record = [], None
     for _ in range(cfg.engine.steps):
-        record = mpsim.engine.step(agents, record, cfg, schedule)
+        record = mpsim.engine.step(agents, record, cfg)
         states.append((record.loads, [(agent.cwnd, agent.count) for agent in agents]))
     for lag in range(phase, len(states), phase):
         if any(states[m] == states[m + lag] for m in range(len(states) - lag)):
@@ -612,22 +612,22 @@ class TestStepContract:
         # step() derives the step index from the previous record, which
         # drives the round-robin and weighted-round-robin cursors
         cfg = config(strategy, agents=50, steps=40, seed=4)
-        schedule = rng = None
+        rng = None
         if strategy == "epsilon_greedy":
             # one cohort of all 50 agents, and the run's stream
             agents = [AgentState(cwnd=1.0, count=50)]
             rng = random.Random("4")
         elif strategy == "weighted_round_robin":
-            schedule = wrr_schedule(cfg.topology.capacities())
-            # 50 agents over 23 cursor classes: two full rounds, then 4 more
-            agents = [AgentState(cwnd=1.0, count=3 if k < 4 else 2)
-                      for k in range(len(schedule))]
+            # 50 agents over the schedule's 23 cursor classes: two full
+            # rounds, then 4 more; step() reads the schedule off the config
+            assert len(wrr_schedule(cfg.topology.capacities())) == 23
+            agents = [AgentState(cwnd=1.0, count=3 if k < 4 else 2) for k in range(23)]
         else:
             agents = [AgentState(cwnd=1.0, count=50)]
         records = []
         prev = None
         for _ in range(cfg.engine.steps):
-            prev = mpsim.engine.step(agents, prev, cfg, schedule, rng)
+            prev = mpsim.engine.step(agents, prev, cfg, rng)
             records.append(prev)
         assert tuple(records) == run(cfg).records
 
@@ -670,6 +670,35 @@ class TestCohortsAgainstOracle:
         cfg = config("weighted_round_robin", agents=agents, steps=40,
                      topology=paths_topology(1))
         assert oracle_agrees(run(cfg))
+
+    # windows pinned at a non-dyadic floor: every path overflows on every
+    # step, so every path's states share one window and a step from 10
+    # rounds on adds each path's agents after the first round as one run,
+    # its states' counts less one each. N = 250 (10 rounds and 20 more
+    # states), 701 (30 rounds and 11) and 5000 (217 rounds and 9, run
+    # through the binade walk) end on a partial round
+    @pytest.mark.parametrize("agents", [250, 701, 5000])
+    def test_wrr_column_sums_with_a_partial_round_match_oracle(self, monkeypatch, agents):
+        aimd = AimdParams(initial_cwnd=0.3, alpha=0.7, beta=0.6, cwnd_floor=0.3,
+                          mbps_per_cwnd=9.1)
+        cfg = SimConfig(topology=default_topology(),
+                        strategy=StrategyKind("weighted_round_robin"),
+                        num_agents=agents, aimd=aimd, engine=EngineParams(steps=40))
+        runs = []
+
+        def recording_add(total, x, count):
+            runs.append(count)
+            return _repeated_add(total, x, count)
+
+        monkeypatch.setattr(mpsim.engine, "_repeated_add", recording_add)
+        telemetry = run(cfg)
+        monkeypatch.undo()
+        # 23 classes of which the first agents % 23 hold one agent more;
+        # each computed step sums one run per path
+        assert sum(runs) == (agents - 23) * len(runs) // 3
+        assert set(telemetry.final_cwnds) == {0.3}
+        assert all(min(r.overflows) > 0 for r in telemetry.records)
+        assert oracle_agrees(telemetry)
 
     # epsilon 0 runs as one state; epsilon 1 explores on every draw, and
     # the explored index's rejection loop redraws a quarter (3 paths),
@@ -871,36 +900,24 @@ class TestCohortStates:
         with pytest.raises(ValueError, match="the run's rng"):
             mpsim.engine.step(agents, None, cfg)
 
-    # an rng only for epsilon-greedy at epsilon > 0, a schedule only for
-    # weighted round robin: min_load with an rng would step as
-    # epsilon-greedy around min-RTT, and epsilon-greedy with a schedule
-    # and no rng as weighted round robin
-    @pytest.mark.parametrize("strategy, epsilon, with_schedule, with_rng, match", [
-        ("min_load", 0.1, False, True, "only epsilon_greedy at epsilon > 0"),
-        ("epsilon_greedy", 0.0, False, True, "only epsilon_greedy at epsilon > 0"),
-        ("weighted_round_robin", 0.1, True, True, "only epsilon_greedy at epsilon > 0"),
-        ("epsilon_greedy", 0.3, True, False, "the run's rng"),
-        ("min_rtt", 0.1, True, False, "only weighted_round_robin"),
-        ("epsilon_greedy", 0.3, True, True, "only weighted_round_robin"),
+    # an rng only for epsilon-greedy at epsilon > 0: min_load with an rng
+    # would step as epsilon-greedy around min-RTT
+    @pytest.mark.parametrize("strategy, epsilon, with_rng, match", [
+        ("min_load", 0.1, True, "only epsilon_greedy at epsilon > 0"),
+        ("epsilon_greedy", 0.0, True, "only epsilon_greedy at epsilon > 0"),
+        ("weighted_round_robin", 0.1, True, "only epsilon_greedy at epsilon > 0"),
+        ("epsilon_greedy", 0.3, False, "the run's rng"),
     ])
     def test_step_refuses_inputs_its_strategy_does_not_use(self, strategy, epsilon,
-                                                           with_schedule, with_rng, match):
+                                                           with_rng, match):
         cfg = config(strategy, agents=48, epsilon=epsilon)
-        schedule = wrr_schedule(cfg.topology.capacities()) if with_schedule else None
         rng = random.Random("0") if with_rng else None
         state = rng and rng.getstate()
         agents = [AgentState(cwnd=1.0, count=48)]
         with pytest.raises(ValueError, match=match):
-            mpsim.engine.step(agents, None, cfg, schedule, rng)
+            mpsim.engine.step(agents, None, cfg, rng)
         assert agents == [AgentState(cwnd=1.0, count=48)]
         assert state == (rng and rng.getstate())
-
-    def test_weighted_round_robin_step_needs_its_schedule(self):
-        cfg = config("weighted_round_robin", agents=2, steps=1)
-        agents = [AgentState(cwnd=1.0) for _ in range(2)]
-        for schedule in (None, ()):
-            with pytest.raises(ValueError, match="wrr_schedule"):
-                mpsim.engine.step(agents, None, cfg, schedule)
 
     @pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0])
     @pytest.mark.parametrize("agents", [2, 25, 500])
@@ -1041,7 +1058,7 @@ class TestExploreDraw:
             prev = None
             for _ in range(6):
                 drawing = list(agents)
-                prev = mpsim.engine.step(agents, prev, cfg, None, rng)
+                prev = mpsim.engine.step(agents, prev, cfg, rng)
                 assert [agent.count for agent in agents] == [1, 1, 1]
                 for agent in drawing:
                     assert twin.random() < 1.0
@@ -1064,7 +1081,7 @@ class TestExploreDraw:
                 # step() takes the cohorts in run()'s ascending order
                 agents.sort(key=lambda agent: agent.cwnd)
             rng, twin = random.Random(str(seed)), random.Random(str(seed))
-            record = mpsim.engine.step(agents, None, cfg, None, rng)
+            record = mpsim.engine.step(agents, None, cfg, rng)
             loads = [0.0] * path_count
             for cwnd, count in cohorts:
                 shares = [0] * path_count
@@ -1096,7 +1113,7 @@ class TestEpsilonPathLists:
                         num_agents=500, aimd=aimd, engine=EngineParams(steps=60))
         assert oracle_agrees(run(cfg))
         agents = [AgentState(cwnd=aimd.initial_cwnd, count=cfg.num_agents)]
-        record = mpsim.engine.step(agents, None, cfg, None, random.Random("0"))
+        record = mpsim.engine.step(agents, None, cfg, random.Random("0"))
         assert record.overflows[0] > 0.0
         on_path_one = [agent.cwnd for agent in agents if agent.chosen_path == 1]
         assert on_path_one and all(cwnd == aimd.cwnd_floor for cwnd in on_path_one)
@@ -1452,7 +1469,7 @@ class TestExactDraws:
         observed = {}
         for _ in range(self.STEPS):
             record = mpsim.engine.step([AgentState(cwnd=1.0, count=agents)],
-                                       None, cfg, None, rng)
+                                       None, cfg, rng)
             counts = tuple(int(load) for load in record.loads)
             observed[counts] = observed.get(counts, 0) + 1
         assert chi2_pvalue(observed, law) > 0.001
@@ -1467,7 +1484,7 @@ class TestExactDraws:
         observed = [{} for _ in range(path_count)]
         for _ in range(self.STEPS // 4):
             record = mpsim.engine.step([AgentState(cwnd=1.0, count=agents)],
-                                       None, cfg, None, rng)
+                                       None, cfg, rng)
             for tally, load in zip(observed, record.loads):
                 tally[int(load)] = tally.get(int(load), 0) + 1
         for j, tally in enumerate(observed):
@@ -1503,6 +1520,24 @@ class TestSamplerCache:
         self.assert_same_draws(cases, seed)
         self.assert_same_draws(cases[::-1], f"{seed}-reversed")
         assert len(mpsim.engine._SAMPLER_CONSTANTS) == cached
+
+    # BTRS redraws a uniform of exactly 0.0: its u = -0.5 leaves us = 0,
+    # which would divide by zero
+    def test_btrs_redraws_a_zero_uniform(self):
+        def stub(seed):
+            uniforms = itertools.chain([0.0], iter(random.Random(seed).random, None))
+            drawn = []
+
+            def uniform():
+                drawn.append(next(uniforms))
+                return drawn[-1]
+            return uniform, drawn
+
+        engine_uniform, engine_drawn = stub("zero")
+        reference_uniform, reference_drawn = stub("zero")
+        value = binomialvariate(engine_uniform, 100, 0.3)
+        assert value == reference_binomialvariate(reference_uniform, 100, 0.3)
+        assert engine_drawn == reference_drawn and len(engine_drawn) >= 3
 
     def test_cache_stays_within_its_bound(self):
         bound = mpsim.engine._SAMPLER_CONSTANTS_BOUND

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -134,7 +135,7 @@ class TestEmitSummary:
         assert "| min_rtt | 10 | 4.25 |" in lines[2] + "|"
 
     def test_empty_rows_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^no rows to emit$"):
             emit_summary([])
 
     def test_unknown_format_rejected(self):
@@ -175,6 +176,22 @@ class TestParseSummaryCsv:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             parse_summary_csv("")
+
+    def test_rejects_a_non_integer_agent_count_naming_row_and_column(self):
+        text = emit_summary([TestEmitSummary.ROW]).replace("min_rtt,10,", "min_rtt,ten,")
+        with pytest.raises(ValueError, match="^row 2, column 'agents': not an integer: 'ten'$"):
+            parse_summary_csv(text)
+
+    def test_rejects_a_header_without_rows(self):
+        with pytest.raises(ValueError, match="^results file has no data rows$"):
+            parse_summary_csv(",".join(SUMMARY_HEADER) + "\n")
+
+    def test_skips_a_blank_line_between_rows(self):
+        other = dataclasses.replace(TestEmitSummary.ROW, strategy="blest", agents=50)
+        header, first, second = emit_summary([TestEmitSummary.ROW, other], raw=True).splitlines()
+        rows = parse_summary_csv(f"{header}\n{first}\n\n{second}\n")
+        assert rows == parse_summary_csv(f"{header}\n{first}\n{second}\n")
+        assert rows == [TestEmitSummary.ROW, other]
 
     def test_rejects_truncated_row(self):
         text = emit_summary([TestEmitSummary.ROW]).rsplit(",", 1)[0] + "\n"

@@ -129,6 +129,10 @@ class TestJainFairness:
         with pytest.raises(ValueError):
             jain_fairness([])
 
+    def test_integer_beyond_the_float_range_reraises_overflow(self):
+        with pytest.raises(OverflowError):
+            jain_fairness([1.0, 10**400])
+
     def test_subnormal_underflow_rejected_not_crash(self):
         with pytest.raises(ValueError, match="undefined fairness"):
             jain_fairness([5e-324])
@@ -159,6 +163,12 @@ class TestScore:
         s = score(t)
         assert (s.oscillation, s.loss, s.fairness, s.efficiency) == (0.0, 0.0, 1.0, 0.0)
         assert (s.stability, s.loss_avoidance, s.goodput) == (1.0, 1.0, 0.0)
+
+    def test_telemetry_without_records_rejected(self):
+        config = synthetic([(0.0, 0.0, 0.0)]).config
+        t = Telemetry(records=(), final_cwnds=(2.0, 2.0), config=config)
+        with pytest.raises(ValueError, match="^telemetry has no records$"):
+            score(t)
 
     def test_internal_identities_exact(self):
         t = run(SimConfig(topology=default_topology(),

@@ -141,6 +141,10 @@ class TestWrrSchedule:
         with pytest.raises(ValueError, match="round to zero"):
             wrr_schedule((0.2, 0.3))
 
+    def test_no_capacities_rejected(self):
+        with pytest.raises(ValueError, match="^no capacities given$"):
+            wrr_schedule(())
+
     def test_smooth_interleaving_avoids_runs(self):
         # smooth WRR spreads the heavy path instead of bunching it
         sched = wrr_schedule((50.0, 100.0, 80.0))

@@ -117,6 +117,32 @@ def test_missing_field_named_in_error():
         parse_topology(cfg)
 
 
+PATH = {"id": 1, "capacity_mbps": 5, "base_rtt_ms": 5}
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([], "top-level config must be a JSON object"),
+    ({"paths": [PATH]}, "missing config field 'name'"),
+    ({"name": 7, "paths": [PATH]}, "'name' must be a string"),
+    ({"name": "x", "paths": {"1": PATH}}, "'paths' must be a list"),
+    ({"name": "x", "paths": [[1, 5, 5]]}, r"paths\[1\] must be an object"),
+    ({"name": "x", "paths": [{**PATH, "id": True}]}, r"paths\[1\]: 'id' must be an integer"),
+    ({"name": "x", "paths": [{**PATH, "id": 1.0}]}, r"paths\[1\]: 'id' must be an integer"),
+    ({"name": "x", "paths": [{**PATH, "attributes": "x"}]},
+     r"paths\[1\]: 'attributes' must be a list of strings"),
+    ({"name": "x", "paths": [{**PATH, "attributes": [1]}]},
+     r"paths\[1\]: 'attributes' must be a list of strings"),
+    ({"name": "x", "paths": [{**PATH, "capacity_mbps": "50"}]},
+     r"paths\[1\]: 'capacity_mbps' must be a number"),
+    ({"name": "x", "paths": [{**PATH, "capacity_mbps": True}]},
+     r"paths\[1\]: 'capacity_mbps' must be a number"),
+], ids=["top-level-list", "no-name", "int-name", "paths-object", "path-list", "id-true",
+        "id-float", "attributes-str", "attributes-int", "capacity-str", "capacity-true"])
+def test_ill_typed_config_rejected(raw, message):
+    with pytest.raises(TopologyError, match=f"^{message}$"):
+        parse_topology(json.dumps(raw))
+
+
 @pytest.mark.parametrize("ids", [(1, 1), (2, 1), (1, 3)])
 def test_ids_must_be_sequential_from_one(ids):
     cfg = json.dumps({"name": "x", "paths": [
