@@ -47,12 +47,12 @@ step() reads off the previous record. Agent order visits the states
 round by round, so a path's load is the sequential float sum over that
 periodic sequence, bit for bit the per-agent sum. From
 `_COLUMNS_FROM_ROUND` rounds on, where each path's senders share one
-window, step() adds a path's later rounds as one run of its senders'
-counts less one each, which `_repeated_add` computes in O(log count)
-instead of O(count). run() lists the final windows the same way, by tuple repetition: each
-state's one float object repeated for its agents, the S cursor classes
-round by round or the cohorts one after another, with no Python step per
-agent.
+window, step() adds a path's later rounds as one run, N // S - 1 per
+sender and one per sender among the first N mod S states, which
+`_repeated_add` computes in O(log count) instead of O(count). run()
+lists the final windows the same way, by tuple repetition: each state's
+one float object repeated for its agents, the S cursor classes round by
+round or the cohorts one after another, with no Python step per agent.
 
 Every other strategy keeps its agents as cohorts: the distinct windows
 with their agent counts, in ascending window order (agents with equal
@@ -70,7 +70,7 @@ cohort stay one. Epsilon-greedy's rule is min-RTT's, the path its
 exploiters take; at epsilon > 0 some agents explore, all drawing from
 one stream per run. Each step a cohort of k agents draws X ~ Bin(k,
 epsilon) explorers, exact in distribution (`binomialvariate`, which
-caches its constants and draws as it would without them), and spreads
+caches BTRS's constants and draws as it would without them), and spreads
 them over the P paths in path order by Bin(left, 1 / (P - j)), the
 sequential form of a multinomial with equal cells; its k - X exploiters
 take the rule's path. A cohort of one draws as a single agent: one
@@ -117,7 +117,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import ClassVar
 
 from .strategy import (
@@ -213,11 +213,11 @@ class AgentState:
 
     step() adds the window to the chosen path's load once per agent and
     applies one AIMD update to the state, whatever its count. For
-    weighted round robin run() builds one state per cursor class: state
-    k of its S states stands for agents k, k + S, k + 2S, ..., and its
-    cursor is k plus the step index. Every other strategy keeps one
-    cohort per distinct window, in ascending window order (see the
-    module docstring); run() starts it as one cohort of count N.
+    weighted round robin run() builds one state per cursor class, whose
+    count step() does not read: state k of S stands for agents k, k + S,
+    k + 2S, ... of `num_agents`, its cursor k plus the step index. Every
+    other strategy keeps one cohort per distinct window, in ascending
+    window order (see the module docstring), from one cohort of count N.
     """
 
     cwnd: float
@@ -306,6 +306,7 @@ _set_step, _set_loads, _set_overflows, _set_inst_rtts = (
     StepRecord.__dict__[name].__set__ for name in ("step", "loads", "overflows", "inst_rtts"))
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Records:
     """A run's step records, read as their tuple: the `computed` ones, the
     first `split` of which are followed by `cycles` repeats of their last
@@ -314,17 +315,10 @@ class Records:
     record's tuples under its own step index; an index, a slice,
     iteration, ==, hash and repr all read that tuple."""
 
-    __slots__ = ("computed", "split", "period", "cycles")
-
-    def __init__(self, computed: tuple[StepRecord, ...], split: int, period=0, cycles=0):
-        for name, value in zip(Records.__slots__, (computed, split, period, cycles)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return Records, (self.computed, self.split, self.period, self.cycles)
+    computed: tuple[StepRecord, ...]
+    split: int
+    period: int = 0
+    cycles: int = 0
 
     def parts(self) -> tuple[tuple[StepRecord, ...], tuple[StepRecord, ...], int, tuple]:
         """(the records before the copies, the cycle they end in, its number
@@ -419,15 +413,14 @@ def _repeated_add(total: float, x: float, count: int) -> float:
     return total
 
 
-_SAMPLER_CONSTANTS: dict = {}
-_SAMPLER_CONSTANTS_BOUND = 1024
-
-
-def _cache_constants(key, constants):
-    if len(_SAMPLER_CONSTANTS) >= _SAMPLER_CONSTANTS_BOUND:
-        _SAMPLER_CONSTANTS.clear()
-    _SAMPLER_CONSTANTS[key] = constants
-    return constants
+@lru_cache(maxsize=1024)
+def _btrs_constants(n: int, p: float) -> tuple:
+    """BTRS's eight constants b, a, c, vr, alpha, lpq, m, h for Bin(n, p)."""
+    spq = _sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    m = _floor((n + 1) * p)
+    return (b, -0.0873 + 0.0248 * b + 0.01 * p, n * p + 0.5, 0.92 - 4.2 / b,
+            (2.83 + 5.1 / b) * spq, _log(p / (1.0 - p)), m, _lgamma(m + 1) + _lgamma(n - m + 1))
 
 
 def binomialvariate(random, n: int, p: float) -> int:
@@ -437,9 +430,9 @@ def binomialvariate(random, n: int, p: float) -> int:
     below n * p = 10 Devroye's geometric method (Non-Uniform Random
     Variate Generation, 1986, ch. X), above it Hörmann's BTRS (J. Stat.
     Comput. Simul. 46, 1993). Unlike CPython, n = 0 draws nothing and a
-    uniform of 0.0 reaches no log or division. Its constants, pure values,
-    come from `_SAMPLER_CONSTANTS`, emptied at 1024 keys (a run at N = 500
-    uses 98-309): log2(1 - p) under p, BTRS's eight under (n, p). A draw
+    uniform of 0.0 reaches no log or division. BTRS's constants, pure
+    values, come from `_btrs_constants`, which keeps the last 1024 (n, p)
+    keys used (a run at N = 500 and epsilon 0.1-0.5 uses 95-307). A draw
     takes the same uniforms and returns the same value as without it."""
     if not n or p <= 0.0:
         return 0
@@ -451,9 +444,8 @@ def binomialvariate(random, n: int, p: float) -> int:
         return n - binomialvariate(random, n, 1.0 - p)
     if n * p < 10.0:
         # the gaps between successes are geometric: count the successes
-        # whose trial index stays within n (a cached 0.0, for p up to
-        # 2**-54, is computed again, and then draws nothing)
-        c = _SAMPLER_CONSTANTS.get(p) or _cache_constants(p, _log2(1.0 - p))
+        # whose trial index stays within n (none where p <= 2**-54 makes c 0.0)
+        c = _log2(1.0 - p)
         if not c:
             return 0
         x = y = 0
@@ -462,15 +454,7 @@ def binomialvariate(random, n: int, p: float) -> int:
             if y > n:
                 return x
             x += 1
-    constants = _SAMPLER_CONSTANTS.get((n, p))
-    if constants is None:
-        spq = _sqrt(n * p * (1.0 - p))
-        b = 1.15 + 2.53 * spq
-        m = _floor((n + 1) * p)
-        constants = _cache_constants((n, p), (
-            b, -0.0873 + 0.0248 * b + 0.01 * p, n * p + 0.5, 0.92 - 4.2 / b,
-            (2.83 + 5.1 / b) * spq, _log(p / (1.0 - p)), m, _lgamma(m + 1) + _lgamma(n - m + 1)))
-    b, a, c, vr, alpha, lpq, m, h = constants
+    b, a, c, vr, alpha, lpq, m, h = _btrs_constants(n, p)
     while True:
         u = random() - 0.5
         us = 0.5 - abs(u)
@@ -563,11 +547,11 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
             rounds, rest = divmod(config.num_agents, len(agents))
             if rounds >= _COLUMNS_FROM_ROUND and all(
                     len({state.cwnd for state in states}) < 2 for states in members):
+                partial = [agent.chosen_path for agent in agents[:rest]]
                 for i, states in enumerate(members):
                     if states:
                         loads[i] = _repeated_add(loads[i], states[0].cwnd * mbps_per_cwnd,
-                                                 sum(state.count for state in states)
-                                                 - len(states))
+                                                 (rounds - 1) * len(states) + partial.count(i + 1))
             else:
                 for agent in agents * (rounds - 1) + agents[:rest]:
                     loads[agent.chosen_path - 1] += agent.cwnd * mbps_per_cwnd
@@ -600,8 +584,6 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
             born = []
             # cohort by cohort in ascending window order, so each path's load
             # adds its cohorts' windows in that order
-            # the exploited path's load, to which most states add, sums in a local
-            exploit_load = 0.0
             for agent in agents:
                 if agent.count == 1:
                     path = exploit
@@ -611,10 +593,7 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
                             path = getrandbits(bits)
                     agent.chosen_path = path + 1
                     members[path].append(agent)
-                    if path == exploit:
-                        exploit_load += agent.cwnd * mbps_per_cwnd
-                    else:
-                        loads[path] += agent.cwnd * mbps_per_cwnd
+                    loads[path] += agent.cwnd * mbps_per_cwnd
                     continue
                 # Bin(count, epsilon) explorers, spread over the paths in path
                 # order by Bin(left, 1 / paths left), a multinomial of equal
@@ -627,7 +606,7 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
                 if not explorers:
                     agent.chosen_path = choice
                     add_exploiter(agent)
-                    exploit_load = _repeated_add(exploit_load, load, count)
+                    loads[exploit] = _repeated_add(loads[exploit], load, count)
                     continue
                 state = agent
                 for path in range(path_count):
@@ -645,14 +624,9 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
                         born.append(state)
                     state.chosen_path, state.count = path + 1, share
                     members[path].append(state)
-                    if path == exploit:
-                        exploit_load = (exploit_load + load if share == 1
-                                        else _repeated_add(exploit_load, load, share))
-                    else:
-                        loads[path] = (loads[path] + load if share == 1
-                                       else _repeated_add(loads[path], load, share))
+                    loads[path] = (loads[path] + load if share == 1
+                                   else _repeated_add(loads[path], load, share))
                     state = None
-            loads[exploit] = exploit_load
             agents += born
             senders = enumerate(members)
 

@@ -86,22 +86,33 @@ def _require_number(value, where: str) -> float:
                             f"beyond the float range") from None
 
 
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
+    fields = {}
+    for key, value in pairs:
+        if key in fields:
+            raise TopologyError(f"config repeats field {key!r}")
+        fields[key] = value
+    return fields
+
+
 def parse_topology(config_text: str) -> Topology:
     """Parse and validate a JSON topology config.
 
-    Unknown fields are rejected rather than ignored so that a typo in an
+    Unknown and repeated fields are rejected so that a typo in an
     experiment config cannot silently fall back to defaults. Text that
     json cannot read, nesting too deep for its parser or an integer
     beyond the interpreter's digit limit included, is a TopologyError.
     """
     try:
-        raw = json.loads(config_text)
+        raw = json.loads(config_text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
         raise TopologyError(
             f"config is not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from None
     except RecursionError:
         raise TopologyError("config is nested too deeply") from None
+    except TopologyError:
+        raise
     except ValueError:
         # the interpreter's limit on the digits of an integer literal
         raise TopologyError("config has an integer with too many digits") from None

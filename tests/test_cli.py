@@ -153,6 +153,17 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == message + "\n"
 
+    def test_repeated_topology_field_exits_2(self, tmp_path, capsys, run_calls):
+        topo = tmp_path / "topo.json"
+        topo.write_text('{"name": "x", "paths": [{"id": 1, "capacity_mbps": 5, '
+                        '"base_rtt_ms": 5, "capacity_mbps": 50}]}')
+        code = run_cli(["run", "--strategy", "min_rtt", "--topology", str(topo)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config repeats field 'capacity_mbps'\n"
+        assert run_calls == []
+
     def test_attribute_aware_with_every_path_forbidden_exits_2(self, tmp_path, capsys):
         topo = tmp_path / "topo.json"
         topo.write_text(json.dumps({"name": "all-high-cost", "paths": [

@@ -631,6 +631,20 @@ class TestStepContract:
             records.append(prev)
         assert tuple(records) == run(cfg).records
 
+    # weighted round robin's step() sizes its cursor classes from
+    # num_agents, not from the states' counts, on both routes: N = 200
+    # walks its 8 rounds of the 23 classes and 16 more, N = 250 sums the
+    # later rounds of its 10 and 20 more as columns (equal windows)
+    @pytest.mark.parametrize("agents", [200, 250])
+    def test_wrr_step_reads_num_agents_not_counts(self, agents):
+        cfg = config("weighted_round_robin", agents=agents)
+        rounds, rest = divmod(agents, 23)
+        layouts = ([AgentState(cwnd=1.0, count=rounds + (k < rest)) for k in range(23)],
+                   [AgentState(cwnd=1.0) for _ in range(23)])
+        first, uncounted = (mpsim.engine.step(states, None, cfg) for states in layouts)
+        assert first == run(cfg).records[0] and sum(first.loads) == agents
+        assert uncounted.loads == first.loads
+
 
 class TestCohortsAgainstOracle:
     # above _PLAIN_LOOP_BELOW a cohort's load goes through the binade walk;
@@ -674,7 +688,8 @@ class TestCohortsAgainstOracle:
     # windows pinned at a non-dyadic floor: every path overflows on every
     # step, so every path's states share one window and a step from 10
     # rounds on adds each path's agents after the first round as one run,
-    # its states' counts less one each. N = 250 (10 rounds and 20 more
+    # one per state per later round and one per state among the first N
+    # mod 23. N = 250 (10 rounds and 20 more
     # states), 701 (30 rounds and 11) and 5000 (217 rounds and 9, run
     # through the binade walk) end on a partial round
     @pytest.mark.parametrize("agents", [250, 701, 5000])
@@ -1493,10 +1508,11 @@ class TestExactDraws:
 
 
 class TestSamplerCache:
-    # binomialvariate reads its constants from a bounded cache; the
-    # oracle's copy computes them on every call. Both must return the
-    # same value and leave the stream in the same state, whether the
-    # cache is cold, warm or has been emptied at its bound
+    # binomialvariate reads BTRS's constants from an LRU cache of 1024
+    # (n, p) keys and computes the geometric method's log2(1 - p) on every
+    # draw; the oracle's copy computes every constant on every call. Both
+    # must return the same value and leave the stream in the same state,
+    # whether the cache is cold, warm or has evicted the key
     NS = list(range(61)) + [100, 450, 1000, 5000, 100_000]
     PS = [0.0, 0.05, 0.1, 0.2, 1 / 3, 0.5, 0.6, 0.7, 0.9, 1.0]
 
@@ -1508,18 +1524,30 @@ class TestSamplerCache:
             assert drawn == reference_binomialvariate(reference_rng.random, n, p), (n, p)
             assert engine_rng.getstate() == reference_rng.getstate(), (n, p)
 
+    @staticmethod
+    def btrs_keys(cases):
+        """The key of each case that draws by BTRS: p mirrored to at most
+        0.5, n p >= 10."""
+        mirrored = ((n, 1.0 - p if p > 0.5 else p) for n, p in cases if n > 1 and 0.0 < p < 1.0)
+        return [(n, q) for n, q in mirrored if n * q >= 10.0]
+
     @pytest.mark.parametrize("seed", ["cold", 7, -7])
     def test_draws_match_the_reference_cold_and_warm(self, seed):
+        cache = mpsim.engine._btrs_constants
         cases = [(n, p) for n in self.NS for p in self.PS]
-        mpsim.engine._SAMPLER_CONSTANTS.clear()
+        keys = self.btrs_keys(cases)
+        cache.cache_clear()
         self.assert_same_draws(cases, seed)
-        # every key is now cached (fewer keys than the bound): the same
-        # cases again, and from another point of the stream
-        cached = len(mpsim.engine._SAMPLER_CONSTANTS)
-        assert 0 < cached < mpsim.engine._SAMPLER_CONSTANTS_BOUND
+        # one lookup per BTRS draw, one miss per distinct key (fewer keys
+        # than the cache holds)
+        info = cache.cache_info()
+        assert info.maxsize == 1024 and 0 < info.currsize == len(set(keys)) < info.maxsize
+        assert (info.misses, info.hits) == (len(set(keys)), len(keys) - len(set(keys)))
+        # every key is now cached: the same cases again, and from another
+        # point of the stream, hit it on every BTRS draw
         self.assert_same_draws(cases, seed)
         self.assert_same_draws(cases[::-1], f"{seed}-reversed")
-        assert len(mpsim.engine._SAMPLER_CONSTANTS) == cached
+        assert cache.cache_info() == info._replace(hits=info.hits + 2 * len(keys))
 
     # BTRS redraws a uniform of exactly 0.0: its u = -0.5 leaves us = 0,
     # which would divide by zero
@@ -1540,29 +1568,42 @@ class TestSamplerCache:
         assert engine_drawn == reference_drawn and len(engine_drawn) >= 3
 
     def test_cache_stays_within_its_bound(self):
-        bound = mpsim.engine._SAMPLER_CONSTANTS_BOUND
-        cache = mpsim.engine._SAMPLER_CONSTANTS
-        cache.clear()
-        # BTRS keys (n p >= 10) and geometric ones (one per p), more
-        # distinct than the bound holds
-        cases = ([(n, 0.3) for n in range(40, 40 + bound + 300)]
-                 + [(5, 0.01 + i / 4096) for i in range(300)])
+        cache = mpsim.engine._btrs_constants
+        bound = cache.cache_info().maxsize
+        assert bound == 1024
+        cache.cache_clear()
+        # 1,324 distinct BTRS keys, more than the cache holds
+        btrs = [(n, 0.3) for n in range(40, 40 + bound + 300)]
+        assert len(set(self.btrs_keys(btrs))) == len(btrs)
         engine_rng, reference_rng = random.Random("bound"), random.Random("bound")
         sizes = []
-        for n, p in cases:
+        for n, p in btrs:
             drawn = binomialvariate(engine_rng.random, n, p)
             assert drawn == reference_binomialvariate(reference_rng.random, n, p), (n, p)
-            sizes.append(len(cache))
+            sizes.append(cache.cache_info().currsize)
         assert engine_rng.getstate() == reference_rng.getstate()
-        assert max(sizes) == bound and sizes[-1] < bound
-        # the keys emptied out of the cache draw as the reference does
-        self.assert_same_draws(cases[:bound], "evicted")
-        assert len(cache) <= bound
+        assert sizes == list(range(1, bound + 1)) + [bound] * 300
+        full = cache.cache_info()
+        assert full.misses == len(btrs) and full.hits == 0
+        # geometric draws (n p < 10, one p each) use no cache
+        geometric = [(5, 0.01 + i / 4096) for i in range(300)]
+        assert not self.btrs_keys(geometric)
+        self.assert_same_draws(geometric, "geometric")
+        assert cache.cache_info() == full
+        # the last 1024 keys are still held; the first 300, evicted, are
+        # computed again and draw as the reference does
+        self.assert_same_draws(btrs[300:], "held")
+        assert cache.cache_info() == full._replace(hits=bound)
+        self.assert_same_draws(btrs[:300], "evicted")
+        assert cache.cache_info() == full._replace(hits=bound, misses=len(btrs) + 300)
 
     def test_run_is_the_same_with_a_cold_or_a_warm_cache(self):
         cfg = config("epsilon_greedy", agents=500, epsilon=0.3)
-        mpsim.engine._SAMPLER_CONSTANTS.clear()
+        cache = mpsim.engine._btrs_constants
+        cache.cache_clear()
         cold = run(cfg)
-        assert mpsim.engine._SAMPLER_CONSTANTS
+        filled = cache.cache_info()
+        assert filled.currsize
         warm = run(cfg)
+        assert cache.cache_info().misses == filled.misses and cache.cache_info().hits > filled.hits
         assert warm.records == cold.records and warm.final_cwnds == cold.final_cwnds

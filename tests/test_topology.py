@@ -92,6 +92,19 @@ def test_json_the_parser_cannot_read_rejected(text, message):
         parse_topology(text)
 
 
+# json.loads would keep the last value; the digit-limit handler must not
+# turn the refusal into its own message
+@pytest.mark.parametrize("text, field", [
+    ('{"name": "x", "paths": [{"id": 1, "capacity_mbps": 5, "base_rtt_ms": 5}], "name": "y"}',
+     "name"),
+    ('{"name": "x", "paths": [{"id": 1, "capacity_mbps": 5, "base_rtt_ms": 5,'
+     ' "capacity_mbps": 50}]}', "capacity_mbps"),
+], ids=["top-level", "path"])
+def test_repeated_field_rejected(text, field):
+    with pytest.raises(TopologyError, match=f"^config repeats field '{field}'$"):
+        parse_topology(text)
+
+
 def test_malformed_json_reports_position():
     with pytest.raises(TopologyError, match=r"line \d+, column \d+"):
         parse_topology('{"name": "x", "paths": [}')
