@@ -52,11 +52,16 @@ Cells use the default topology, 300 steps, seed 0 and default AIMD:
   min_rtt at N = 25 recurs with a 154-step cycle that the check cannot
   catch within 300 steps, and the N = 50 herds and weighted round
   robin at N = 150 are the smallest grid counts at which they recur.
-  A cell that recurs spends its time on the few steps it computes (6 of
-  300 for min_rtt and round robin at N = 500 and above, 12 for min_load
-  and the N = 50 herds, 24 for weighted round robin from N = 250 on and
-  47 at N = 150; 18, 18, 70 and 70 up to BENCH_22.json, while the
-  cycle search's first reaches were 1 and 2 steps); it keeps the rest
+  A cell that recurs spends its time on the few steps it computes (2 of
+  300 for min_rtt, attribute_aware, blest and epsilon 0 at N = 500 and
+  above, 4 for min_load there and for the N = 50 herds, 6 for round
+  robin at N = 500 and above and for min_load at N = 50, 24 for weighted
+  round robin from N = 250 on and 47 at N = 150. Up to BENCH_28.json,
+  while every rule's cycle had to be a multiple of the path count, the
+  2-step cells computed 6 and the 4- and 6-step min_load and N = 50
+  cells 12; up to BENCH_22.json, while the cycle search's first reaches
+  were 1 and 2 steps, those computing 6 and 12 then computed 18 and
+  weighted round robin 70); it keeps the rest
   as a count of cycle repeats and builds no copy (up to BENCH_19.json each
   copy was built, its slots set in bulk at about 0.25 us a copy). Its
   final windows are one tuple repetition per cohort or cursor class, so

@@ -14,7 +14,11 @@ its configs' digests in grid order. The raw reproduction-grid CSV
 (`sweep --all-strategies --raw`) and the raw epsilon-line CSV (epsilon 0
 to 1 in steps of 0.1 at N = 500) are one group each. It prints each
 group's digests, the first 16 hex digits of each, naming the first config
-that differs, and exits 1 if any group differs.
+that differs, and exits 1 if any group differs. Beside them it prints
+each side's total of computed steps over the group's configs
+(`len(telemetry.records.computed)`: the steps that a recurring run
+replays are not computed) and the number of configs whose count rose
+from BEFORE to AFTER; a rise alone does not change the exit status.
 
 The grid (2,240 configs): the six strategies that never draw and
 epsilon-greedy at epsilon 0, 0.1, 0.5 and 1; N = 1, 2, 3, 7, 10, 23, 24,
@@ -69,7 +73,8 @@ def _sha(text):
 
 
 def _digests(mpsim):
-    """{group: [(config label, {kind: digest})]} in grid order."""
+    """{group: [(config label, {kind: digest}, computed steps or None)]} in
+    grid order."""
     groups = {}
     for kind in _strategies(mpsim):
         label = kind.name if kind.name != "epsilon_greedy" else f"epsilon_greedy[{kind.epsilon}]"
@@ -87,17 +92,17 @@ def _digests(mpsim):
                             "records": _sha(records),
                             "windows": _sha(array("d", telemetry.final_cwnds).tobytes()),
                             "scores": _sha(repr(dataclasses.astuple(mpsim.score(telemetry)))),
-                        }))
+                        }, len(telemetry.records.computed)))
     grid = mpsim.sweep_agents(mpsim.SweepSpec(topology=mpsim.default_topology(),
                                               strategies=mpsim.all_strategies()))
-    groups["csv:grid"] = [("raw", {"csv": _sha(mpsim.emit_summary(grid, raw=True))})]
+    groups["csv:grid"] = [("raw", {"csv": _sha(mpsim.emit_summary(grid, raw=True))}, None)]
     line = mpsim.sweep_epsilon([i / 10 for i in range(11)], 500, mpsim.default_topology())
-    groups["csv:epsilon"] = [("raw", {"csv": _sha(mpsim.emit_epsilon(line, raw=True))})]
+    groups["csv:epsilon"] = [("raw", {"csv": _sha(mpsim.emit_epsilon(line, raw=True))}, None)]
     return groups
 
 
 def _group_digest(rows, kind):
-    return _sha("".join(digests[kind] for _, digests in rows))
+    return _sha("".join(digests[kind] for _, digests, _ in rows))
 
 
 def main(argv=None):
@@ -111,7 +116,7 @@ def main(argv=None):
         start = time.perf_counter()
         before, after = (_digests(side) for side in sides)
         seconds = time.perf_counter() - start
-    differ = 0
+    differ = rose = computed_before = computed_after = 0
     for group, rows in before.items():
         other = after[group]
         kinds = list(rows[0][1])
@@ -120,14 +125,23 @@ def main(argv=None):
             first, second = _group_digest(rows, kind), _group_digest(other, kind)
             line.append(f"{kind} {first[:16]}" if first == second
                         else f"{kind} {first[:16]} != {second[:16]}")
-        mismatch = next((label for (label, a), (_, b) in zip(rows, other) if a != b), None)
+        if rows[0][2] is not None:
+            counts = [(a, b) for (_, _, a), (_, _, b) in zip(rows, other)]
+            group_before, group_after = sum(a for a, _ in counts), sum(b for _, b in counts)
+            group_rose = sum(b > a for a, b in counts)
+            computed_before += group_before
+            computed_after += group_after
+            rose += group_rose
+            line.append(f"computed {group_before} -> {group_after} ({group_rose} rose)")
+        mismatch = next((label for (label, a, _), (_, b, _) in zip(rows, other) if a != b), None)
         if mismatch is not None or len(rows) != len(other):
             differ += 1
             line.append(f"DIFFERENT from {mismatch}")
         print("  ".join(line))
     configs = sum(len(rows) for group, rows in before.items() if not group.startswith("csv:"))
     print(f"{configs} run() + score() configs per side, 2 CSVs; {seconds:.1f} s; "
-          f"{differ} of {len(before)} groups differ")
+          f"{differ} of {len(before)} groups differ; computed steps {computed_before} -> "
+          f"{computed_after}, {rose} configs compute more")
     return 1 if differ else 0
 
 

@@ -85,24 +85,30 @@ about 5 cohorts, most agents sitting on the floor.
 Recurrence: a greedy herd settles into a fixed point or a short cycle,
 and run() then stops recomputing it. Step t reads only the states'
 windows, the previous record's loads (min-load's rule reads
-them), the step index through the cursors' t mod phase (the schedule
-length L for weighted round robin, the path count P otherwise) and
-`chosen_path`, which it writes before it reads it. So once that state
-after step t equals the state after an earlier step m, with t - m a
-multiple of the phase, the records from step t + 1 on repeat those
-from step m + 1 with period t - m, bit for bit. run() compares each
-step's state with a mark that it moves at doubling distances (Brent,
-"An improved Monte Carlo factorization algorithm", BIT 20, 1980),
-testing the loads first: one tuple compare per step on a run that
-never recurs. The first mark is the state after step 0 and every
-reach is a multiple of the phase (one phase, then doubling): a mark
-held for fewer steps than the phase meets no state a multiple of the
-phase after it, so it could never close a cycle. On a match it keeps
-the remaining whole cycles of records, which end in the same state, as
-a count (`Records`), builds the record of the last copied step for the
-leftover steps to read, and steps those. `metrics.score` adds the
-cycle's values per repeat; a copy is built only when the records are
-read, sharing its cycle record's tuples.
+them), `chosen_path`, which it writes before it reads it, and, for the
+cursor rules alone, the step index through t mod phase (the schedule
+length L for weighted round robin, the path count P for round robin).
+So once that state after step t equals the state after an earlier step
+m, with t - m a multiple of the run's lag (the phase for the cursor
+rules, 1 for every other rule), the records from step t + 1 on repeat
+those from step m + 1 with period t - m, bit for bit: a settled herd
+closes its cycle one step after the mark it settled at, a min-load flip
+two. run() compares each step's state with a mark that it moves at
+doubling distances (Brent, "An improved Monte Carlo factorization
+algorithm", BIT 20, 1980), testing the loads first: one tuple compare
+per step on a run that never recurs. The first mark is the state after
+step 0 and every reach is a multiple of the phase (one phase, then
+doubling), for every rule: a cursor rule's mark held for fewer steps
+than the phase meets no state a lag after it, and with these marks a
+lag of 1 closes each cycle at the same step as a lag of one phase or
+earlier, so it never computes more steps. Reaches of 1, 2, 4, ...
+would move the later marks and miss some late recurrences that these
+marks catch (min-RTT at N = 23: 265 steps computed against 202). On a
+match it keeps the remaining whole cycles of records, which end in the
+same state, as a count (`Records`), builds the record of the last
+copied step for the leftover steps to read, and steps those.
+`metrics.score` adds the cycle's values per repeat; a copy is built
+only when the records are read, sharing its cycle record's tuples.
 Epsilon-greedy at epsilon > 0 is excluded: the run's rng is part of
 its state, and its stream never repeats within a run.
 
@@ -213,11 +219,13 @@ class AgentState:
 
     step() adds the window to the chosen path's load once per agent and
     applies one AIMD update to the state, whatever its count. For
-    weighted round robin run() builds one state per cursor class, whose
-    count step() does not read: state k of S stands for agents k, k + S,
-    k + 2S, ... of `num_agents`, its cursor k plus the step index. Every
-    other strategy keeps one cohort per distinct window, in ascending
-    window order (see the module docstring), from one cohort of count N.
+    weighted round robin run() builds one state per cursor class with
+    the default count, which no code reads (step() and the final windows
+    size the classes from `num_agents`): state k of S stands for agents
+    k, k + S, k + 2S, ... of `num_agents`, its cursor k plus the step
+    index. Every other strategy keeps one cohort per distinct window, in
+    ascending window order (see the module docstring), from one cohort
+    of count N.
     """
 
     cwnd: float
@@ -685,15 +693,12 @@ def run(config: SimConfig) -> Telemetry:
     count, and builds a copy, sharing the cycle's tuples, when read."""
     agent_count = config.num_agents
     initial_cwnd = float(config.aimd.initial_cwnd)
-    schedule, draws = config._constants[3:5]
+    rule, schedule, draws = config._constants[2:5]
     if schedule:
         # weighted round robin staggers agent i's start slot to i mod L so
         # concurrent windows spread over the schedule instead of marching
         # on one path per step; each cursor class is one state
-        classes = min(agent_count, len(schedule))
-        rounds, rest = divmod(agent_count, classes)
-        agents = [AgentState(cwnd=initial_cwnd, count=rounds + (k < rest))
-                  for k in range(classes)]
+        agents = [AgentState(cwnd=initial_cwnd) for _ in range(min(agent_count, len(schedule)))]
     else:
         # one state of all N agents, which epsilon-greedy at epsilon > 0
         # takes as its first cohort
@@ -704,9 +709,12 @@ def run(config: SimConfig) -> Telemetry:
 
     # Brent's mark: the state after step `mark`, moved to the current step
     # whenever the distance reaches `reach`, which then doubles, but is at
-    # least the phase: a cycle's length is a multiple of it. The first mark
-    # is the state after step 0, with a reach of one phase
+    # least the phase. The first mark is the state after step 0, with a
+    # reach of one phase. A cycle's length is a multiple of `lag`: the
+    # phase for the cursor rules, which read the step index, and 1 for
+    # every other rule, whose herd closes its cycle as soon as it repeats
     phase = len(schedule) if schedule else len(config.topology.paths)
+    lag = phase if schedule or rule is _round_robin else 1
     watching = rng is None
     mark, mark_loads, mark_cwnds, reach = -1, None, None, 1
     steps = config.engine.steps
@@ -718,7 +726,7 @@ def run(config: SimConfig) -> Telemetry:
         prev = step(agents, prev, config, rng)
         records.append(prev)
         if watching:
-            if (prev.loads == mark_loads and (t - mark) % phase == 0
+            if (prev.loads == mark_loads and (t - mark) % lag == 0
                     and [agent.cwnd for agent in agents] == mark_cwnds):
                 # records mark + 1 .. t come round again: keep their whole
                 # cycles, which end in this step's state, as a count, and

@@ -429,29 +429,56 @@ def computed_steps(monkeypatch, cfg):
     return telemetry, calls
 
 
-def least_phase_lag(cfg):
-    """The least lag, a multiple of the phase, at which the state after some
-    step (the step's loads and windows) recurs within the run, found by
-    comparing every pair of states; 0 where none recurs. It steps the
-    module's step() from run()'s layout for every one of the run's steps."""
-    schedule = None
+def run_lags(cfg):
+    """(phase, lag) of cfg's run: Brent's reaches are multiples of the
+    phase (the schedule length for weighted round robin, the path count
+    otherwise), and a cycle's length a multiple of the lag, the phase for
+    the cursor rules, which read the step index, and 1 for every other."""
+    cursors = cfg.strategy.name in ("round_robin", "weighted_round_robin")
+    phase = (len(wrr_schedule(cfg.topology.capacities()))
+             if cfg.strategy.name == "weighted_round_robin" else cfg.topology.path_count)
+    return phase, phase if cursors else 1
+
+
+def step_states(cfg):
+    """The state after each of the run's steps (the step's loads and
+    windows), stepped with the module's step() from run()'s layout."""
     if cfg.strategy.name == "weighted_round_robin":
-        schedule = wrr_schedule(cfg.topology.capacities())
-        classes = min(cfg.num_agents, len(schedule))
-        rounds, rest = divmod(cfg.num_agents, classes)
-        agents = [AgentState(cwnd=float(cfg.aimd.initial_cwnd), count=rounds + (k < rest))
-                  for k in range(classes)]
+        classes = min(cfg.num_agents, len(wrr_schedule(cfg.topology.capacities())))
+        agents = [AgentState(cwnd=float(cfg.aimd.initial_cwnd)) for _ in range(classes)]
     else:
         agents = [AgentState(cwnd=float(cfg.aimd.initial_cwnd), count=cfg.num_agents)]
-    phase = len(schedule) if schedule else cfg.topology.path_count
     states, record = [], None
     for _ in range(cfg.engine.steps):
         record = mpsim.engine.step(agents, record, cfg)
         states.append((record.loads, [(agent.cwnd, agent.count) for agent in agents]))
-    for lag in range(phase, len(states), phase):
-        if any(states[m] == states[m + lag] for m in range(len(states) - lag)):
-            return lag
+    return states
+
+
+def least_phase_lag(cfg):
+    """The least lag, a multiple of the run's lag, at which the state after
+    some step recurs within the run, found by comparing every pair of
+    states; 0 where none recurs."""
+    states, (_, lag) = step_states(cfg), run_lags(cfg)
+    for candidate in range(lag, len(states), lag):
+        if any(states[m] == states[m + candidate] for m in range(len(states) - candidate)):
+            return candidate
     return 0
+
+
+def brent_computed_steps(states, phase, lag):
+    """The number of steps run() computes over a run whose state after step
+    t is states[t], when Brent's marks (the first after step 0, then at
+    reaches of one phase, doubling) close a cycle at a multiple of lag."""
+    steps = len(states)
+    mark, reach = -1, 1
+    for t in range(steps):
+        if mark >= 0 and (t - mark) % lag == 0 and states[t] == states[mark]:
+            # the whole cycles left are copied, the partial one computed
+            return t + 1 + (steps - 1 - t) % (t - mark)
+        if t - mark == reach:
+            mark, reach = t, max(2 * reach, phase)
+    return steps
 
 
 class TestStepContract:
@@ -618,10 +645,11 @@ class TestStepContract:
             agents = [AgentState(cwnd=1.0, count=50)]
             rng = random.Random("4")
         elif strategy == "weighted_round_robin":
-            # 50 agents over the schedule's 23 cursor classes: two full
-            # rounds, then 4 more; step() reads the schedule off the config
+            # 50 agents over the schedule's 23 cursor classes, which keep
+            # the default count as in run(): step() reads the schedule off
+            # the config and sizes the classes from num_agents
             assert len(wrr_schedule(cfg.topology.capacities())) == 23
-            agents = [AgentState(cwnd=1.0, count=3 if k < 4 else 2) for k in range(23)]
+            agents = [AgentState(cwnd=1.0) for _ in range(23)]
         else:
             agents = [AgentState(cwnd=1.0, count=50)]
         records = []
@@ -806,19 +834,42 @@ class TestRecurrenceReplay:
     # Brent's first mark is the state after step 0 and every reach a
     # multiple of the phase (3 paths, or 23 slots): a settled herd or flip
     # closes its cycle at the first mark after it settles, and the records
-    # keep the least cycle whose length is a multiple of the phase
+    # keep the least cycle whose length is a multiple of the run's lag (the
+    # phase for the cursor rules, 1 otherwise): min-load's flip of period
+    # 2 and the herds at N = 50 settle before step 3's mark, min-RTT's herd
+    # at N = 100 at step 0 with period 1
     @pytest.mark.parametrize("strategy, agents, computed", [
-        ("min_load", 150, 12), ("min_load", 500, 12), ("min_load", 2000, 12),
-        ("min_rtt", 50, 12), ("attribute_aware", 50, 12), ("blest", 50, 12),
+        ("min_load", 150, 4), ("min_load", 500, 4), ("min_load", 2000, 4),
+        ("min_rtt", 50, 4), ("attribute_aware", 50, 4), ("blest", 50, 4),
         ("weighted_round_robin", 250, 24), ("weighted_round_robin", 500, 24),
         ("weighted_round_robin", 150, 47),
-        ("min_rtt", 100, 6), ("round_robin", 100, 6),
+        ("min_rtt", 100, 2), ("round_robin", 100, 6),
     ])
     def test_cycle_is_found_at_the_phase_scale(self, monkeypatch, strategy, agents, computed):
         cfg = config(strategy, agents=agents, steps=300)
         telemetry, calls = computed_steps(monkeypatch, cfg)
         assert len(calls) == computed
         assert telemetry.records.period == least_phase_lag(cfg) > 0
+        assert oracle_agrees(telemetry)
+
+    # with the marks unchanged, a lag of 1 closes a cycle at the same step
+    # as a lag of one phase or earlier, so no run computes more steps
+    @settings(max_examples=40, deadline=None)
+    @given(strategy=st.sampled_from(RNG_FREE),
+           agents=st.integers(1, 600),
+           steps=st.integers(1, 300),
+           aimd=st.sampled_from(RECURRING_AIMD),
+           path_count=st.integers(1, 5))
+    def test_search_computes_no_more_steps_than_at_the_phase_lag(
+            self, strategy, agents, steps, aimd, path_count):
+        topology = default_topology() if path_count == 3 else paths_topology(path_count)
+        cfg = SimConfig(topology=topology, strategy=strategy, num_agents=agents, aimd=aimd,
+                        engine=EngineParams(steps=steps))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            telemetry, calls = computed_steps(monkeypatch, cfg)
+        states, (phase, lag) = step_states(cfg), run_lags(cfg)
+        assert len(calls) == brent_computed_steps(states, phase, lag)
+        assert len(calls) <= brent_computed_steps(states, phase, phase)
         assert oracle_agrees(telemetry)
 
     @settings(max_examples=40, deadline=None)
@@ -887,15 +938,16 @@ class TestCohortStates:
 
     @pytest.mark.parametrize("strategy, epsilon, agents, expected", [
         ("weighted_round_robin", 0.1, 22, [1] * 22),
-        ("weighted_round_robin", 0.1, 24, [2] + [1] * 22),
-        ("weighted_round_robin", 0.1, 47, [3] + [2] * 22),
-        ("weighted_round_robin", 0.1, 500, [22] * 17 + [21] * 6),
+        ("weighted_round_robin", 0.1, 24, [1] * 23),
+        ("weighted_round_robin", 0.1, 47, [1] * 23),
+        ("weighted_round_robin", 0.1, 500, [1] * 23),
         ("epsilon_greedy", 0.0, 12, [12]),
     ])
     def test_run_steps_cursor_classes_and_epsilon_zero_as_states(
             self, monkeypatch, strategy, epsilon, agents, expected):
         # WRR's 23-slot schedule on the default topology: state k stands
-        # for agents k, k + 23, k + 46, ...
+        # for agents k, k + 23, k + 46, ..., keeping the default count,
+        # which nothing reads: step() sizes the classes from num_agents
         assert len(wrr_schedule(default_topology().capacities())) == 23
         real_step = mpsim.engine.step
         layouts = []
@@ -907,7 +959,7 @@ class TestCohortStates:
         monkeypatch.setattr(mpsim.engine, "step", recording_step)
         telemetry = run(config(strategy, agents=agents, steps=3, epsilon=epsilon))
         assert layouts == [expected] * 3
-        assert sum(expected) == agents == len(telemetry.final_cwnds)
+        assert len(telemetry.final_cwnds) == agents
 
     def test_epsilon_greedy_step_needs_the_runs_rng(self):
         cfg = config("epsilon_greedy", agents=2, steps=1)
