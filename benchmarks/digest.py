@@ -127,7 +127,7 @@ def main(argv=None):
                         else f"{kind} {first[:16]} != {second[:16]}")
         if rows[0][2] is not None:
             counts = [(a, b) for (_, _, a), (_, _, b) in zip(rows, other)]
-            group_before, group_after = sum(a for a, _ in counts), sum(b for _, b in counts)
+            group_before, group_after = map(sum, zip(*counts))
             group_rose = sum(b > a for a, b in counts)
             computed_before += group_before
             computed_after += group_after

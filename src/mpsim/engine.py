@@ -712,7 +712,7 @@ def run(config: SimConfig) -> Telemetry:
     # least the phase. The first mark is the state after step 0, with a
     # reach of one phase. A cycle's length is a multiple of `lag`: the
     # phase for the cursor rules, which read the step index, and 1 for
-    # every other rule, whose herd closes its cycle as soon as it repeats
+    # every other rule, whose state may repeat at any distance
     phase = len(schedule) if schedule else len(config.topology.paths)
     lag = phase if schedule or rule is _round_robin else 1
     watching = rng is None

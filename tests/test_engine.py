@@ -835,9 +835,9 @@ class TestRecurrenceReplay:
     # multiple of the phase (3 paths, or 23 slots): a settled herd or flip
     # closes its cycle at the first mark after it settles, and the records
     # keep the least cycle whose length is a multiple of the run's lag (the
-    # phase for the cursor rules, 1 otherwise): min-load's flip of period
-    # 2 and the herds at N = 50 settle before step 3's mark, min-RTT's herd
-    # at N = 100 at step 0 with period 1
+    # phase for the cursor rules, 1 otherwise): min-load's flip and the
+    # herds at N = 50 repeat the state after step 0 with period 2, min-RTT's
+    # herd at N = 100 with period 1
     @pytest.mark.parametrize("strategy, agents, computed", [
         ("min_load", 150, 4), ("min_load", 500, 4), ("min_load", 2000, 4),
         ("min_rtt", 50, 4), ("attribute_aware", 50, 4), ("blest", 50, 4),
