@@ -9,7 +9,11 @@ directory, or a directory that holds the mpsim package (`src` for the
 working tree). Both packages are imported into this interpreter under
 their own names. Every round times each cell on both sides back to
 back, alternating which side goes first, so a slow spell of the host
-slows both samples of a pair. A sample is the fastest of enough calls
+slows both samples of a pair. Each round visits the cells in the order
+`random.Random(round index)` shuffles them into, so a slow spell falls
+across strategies instead of on one strategy's block of cells (one run
+in the fixed order read every weighted round robin cell at 1.02-1.08 on
+identical steps). A sample is the fastest of enough calls
 to fill --min-ms, and at least 100 ms for the `run()` cells at
 N = 100,000: when a call took about 1.2 ms, their 20 ms samples read
 median ratios up to 1.06-1.08 on identical code, their 100 ms samples
@@ -88,6 +92,7 @@ import importlib.util
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -269,7 +274,9 @@ def _measure(args, scratch):
 
     for index in range(args.rounds):
         order = (0, 1) if index % 2 == 0 else (1, 0)
-        for _, calls, repeats, _, samples in cells:
+        visits = cells[:]
+        random.Random(index).shuffle(visits)
+        for _, calls, repeats, _, samples in visits:
             for side in order:
                 samples[side].append(_sample(calls[side], repeats))
 
@@ -291,6 +298,7 @@ def _measure(args, scratch):
         "unit": "ms",
         "unpaired": ["before_ms", "after_ms"],
         "rounds": args.rounds,
+        "cell_order": "shuffled each round by random.Random(round index)",
         "min_ms": args.min_ms,
         "only": args.only,
         "nproc": os.cpu_count(),

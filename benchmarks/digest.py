@@ -64,8 +64,7 @@ def _strategies(mpsim):
 
 def _aimds(mpsim):
     return (mpsim.AimdParams(),
-            mpsim.AimdParams(initial_cwnd=0.37, alpha=0.73, beta=0.61, cwnd_floor=0.29,
-                             mbps_per_cwnd=0.91))
+            mpsim.AimdParams(initial_cwnd=0.37, alpha=0.73, beta=0.61, cwnd_floor=0.29))
 
 
 def _sha(text):

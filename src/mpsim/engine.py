@@ -174,7 +174,8 @@ def _index(owner, name: str) -> None:
 
 @dataclass(frozen=True)
 class AimdParams:
-    """Congestion controller constants; windows are real-valued packets.
+    """Congestion controller constants. Windows are real-valued; one unit
+    carries `mbps_per_cwnd` = 1 Mbps, and alpha is the growth per RTT.
 
     `cwnd_floor` bounds only the multiplicative decrease: a loss sets the
     window to max(floor, beta * cwnd). Any positive `initial_cwnd` is
@@ -186,11 +187,12 @@ class AimdParams:
     alpha: float = 1.0
     beta: float = 0.5
     cwnd_floor: float = 1.0
-    mbps_per_cwnd: float = 1.0
+    # not an option: only perfbench/checks.py's oracle check reads it (ROADMAP item 2)
+    mbps_per_cwnd: ClassVar[float] = 1.0
 
     def __post_init__(self):
         # every check is written so that NaN fails it
-        for name in ("initial_cwnd", "alpha", "cwnd_floor", "mbps_per_cwnd"):
+        for name in ("initial_cwnd", "alpha", "cwnd_floor"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.beta < 1.0:
@@ -200,16 +202,15 @@ class AimdParams:
 @dataclass(frozen=True)
 class EngineParams:
     steps: int = DEFAULT_STEPS
-    step_ms: float = 10.0
-    # not an option: only perfbench/checks.py's oracle call reads it (ROADMAP item 5)
+    # not an option: the increments and perfbench/checks.py read it (ROADMAP item 2)
+    step_ms: ClassVar[float] = 10.0
+    # not an option: only perfbench/checks.py's oracle call reads it (ROADMAP item 2)
     queue_scale_ms: ClassVar[float] = 10.0
 
     def __post_init__(self):
         _index(self, "steps")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if not 0.0 < self.step_ms < math.inf:
-            raise ValueError("step_ms must be positive and finite")
 
 
 @dataclass(slots=True)
@@ -262,11 +263,10 @@ class SimConfig:
         every step, or None (both 0 and None for weighted round robin);
         weighted round robin's wrr_schedule, or () for every other
         strategy; whether it draws (epsilon-greedy at epsilon > 0),
-        epsilon, path j's spread probability 1 / (P - j), mbps_per_cwnd,
-        the capacities, each path's loss-free increment, beta and the
-        floor; run() lays out its states by the schedule and the flag.
-        Attribute-aware's rule raises as the run starts when every path is
-        forbidden."""
+        epsilon, path j's spread probability 1 / (P - j), the capacities,
+        each path's loss-free increment, beta and the floor; run() lays
+        out its states by the schedule and the flag. Attribute-aware's
+        rule raises as the run starts when every path is forbidden."""
         strategy, aimd, paths = self.strategy, self.aimd, self.topology.paths
         rtts = tuple(float(path.base_rtt_ms) for path in paths)
         rule, constant = _SHARED_CHOICE.get(strategy.name, (None, False))
@@ -276,8 +276,7 @@ class SimConfig:
             wrr_schedule(capacities) if strategy.name == "weighted_round_robin" else (),
             strategy.name == "epsilon_greedy" and strategy.epsilon > 0, strategy.epsilon,
             tuple(1.0 / (len(paths) - j) for j in range(len(paths))),
-            aimd.mbps_per_cwnd, capacities,
-            tuple(aimd.alpha * (self.engine.step_ms / rtt) for rtt in rtts),
+            capacities, tuple(aimd.alpha * (self.engine.step_ms / rtt) for rtt in rtts),
             aimd.beta, aimd.cwnd_floor)
 
 
@@ -529,8 +528,8 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
     cohort strategy's list ends the step as the new cohorts. The step
     index follows `prev_record`'s."""
     t = 0 if prev_record is None else prev_record.step + 1
-    (rtts, constant_path, rule, schedule, draws, epsilon, spreads, mbps_per_cwnd, capacities,
-     increments, beta, floor) = config._constants
+    (rtts, constant_path, rule, schedule, draws, epsilon, spreads, capacities, increments,
+     beta, floor) = config._constants
     path_count = len(capacities)
     loads = [0.0] * path_count
 
@@ -548,7 +547,7 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
             path = schedule[(k + t) % period]
             agent.chosen_path = path
             members[path - 1].append(agent)
-            loads[path - 1] += agent.cwnd * mbps_per_cwnd
+            loads[path - 1] += agent.cwnd
         if len(agents) < config.num_agents:
             # the agents after the first round: N // S - 1 more rounds of
             # the S states, then the first N mod S (see "Layouts")
@@ -558,11 +557,11 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
                 partial = [agent.chosen_path for agent in agents[:rest]]
                 for i, states in enumerate(members):
                     if states:
-                        loads[i] = _repeated_add(loads[i], states[0].cwnd * mbps_per_cwnd,
+                        loads[i] = _repeated_add(loads[i], states[0].cwnd,
                                                  (rounds - 1) * len(states) + partial.count(i + 1))
             else:
                 for agent in agents * (rounds - 1) + agents[:rest]:
-                    loads[agent.chosen_path - 1] += agent.cwnd * mbps_per_cwnd
+                    loads[agent.chosen_path - 1] += agent.cwnd
         senders = enumerate(members)
     else:
         choice = constant_path or rule(config, prev_record, t)
@@ -571,7 +570,7 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
             total = 0.0
             for agent in agents:
                 agent.chosen_path = choice
-                total = _repeated_add(total, agent.cwnd * mbps_per_cwnd, agent.count)
+                total = _repeated_add(total, agent.cwnd, agent.count)
             loads[choice - 1] = total
             senders = ((choice - 1, agents),)
         else:
@@ -601,7 +600,7 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
                             path = getrandbits(bits)
                     agent.chosen_path = path + 1
                     members[path].append(agent)
-                    loads[path] += agent.cwnd * mbps_per_cwnd
+                    loads[path] += agent.cwnd
                     continue
                 # Bin(count, epsilon) explorers, spread over the paths in path
                 # order by Bin(left, 1 / paths left), a multinomial of equal
@@ -609,7 +608,7 @@ def step(agents: list[AgentState], prev_record: StepRecord | None, config: SimCo
                 # takes the rest, what its Bin(left, 1) returns without a
                 # draw. The exploiters join the min-RTT path's share
                 count = agent.count
-                load = agent.cwnd * mbps_per_cwnd
+                load = agent.cwnd
                 explorers = left = binomialvariate(uniform, count, epsilon)
                 if not explorers:
                     agent.chosen_path = choice

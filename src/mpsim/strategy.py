@@ -34,7 +34,7 @@ class StrategyKind:
 
     name: str
     epsilon: float = DEFAULT_EPSILON
-    # not an option: only perfbench/checks.py's oracle call reads it (ROADMAP item 5)
+    # not an option: only perfbench/checks.py's oracle call reads it (ROADMAP item 2)
     filter_factor: ClassVar[float] = 1.5
 
     def __post_init__(self):

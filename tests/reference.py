@@ -98,12 +98,14 @@ def smooth_wrr_slots(capacities):
 def naive_run(paths, strategy, num_agents, steps, seed,
               epsilon=0.1, filter_factor=1.5, forbidden=(HIGH_COST,),
               step_ms=10.0, queue_scale=10.0, alpha=1.0, beta=0.5, floor=1.0,
-              initial_cwnd=1.0, mbps_per_cwnd=1.0):
+              initial_cwnd=1.0):
     """Run the simulation the slow, obvious way.
 
     paths: list of dicts {"id", "cap", "rtt", "attrs"}.
     Returns (records, cwnds) where each record is a dict with "loads",
-    "overflows", "rtts" lists indexed by path position.
+    "overflows", "rtts" lists indexed by path position. One window unit
+    carries 1 Mbps. The engine fixes the step at 10 ms; `step_ms` stays
+    a parameter because perfbench/checks.py passes it.
 
     Every strategy but weighted round robin groups its agents by window
     into cohorts each step, taken in ascending window order: each path's
@@ -218,7 +220,7 @@ def naive_run(paths, strategy, num_agents, steps, seed,
         loads = [0.0] * n_paths
         for i in (range(num_agents) if cohorts is None
                   else [i for members in cohorts for i in members]):
-            loads[chosen[i] - 1] += cwnd[i] * mbps_per_cwnd
+            loads[chosen[i] - 1] += cwnd[i]
 
         overflows = [0.0] * n_paths
         rtts = [0.0] * n_paths
@@ -255,8 +257,7 @@ def oracle_agrees(telemetry):
         paths, strategy.name, config.num_agents, engine.steps, config.seed,
         epsilon=strategy.epsilon, forbidden=tuple(config.forbidden_tags),
         step_ms=engine.step_ms, alpha=aimd.alpha, beta=aimd.beta,
-        floor=aimd.cwnd_floor, initial_cwnd=aimd.initial_cwnd,
-        mbps_per_cwnd=aimd.mbps_per_cwnd)
+        floor=aimd.cwnd_floor, initial_cwnd=aimd.initial_cwnd)
     return (tuple(cwnds) == telemetry.final_cwnds
             and len(records) == len(telemetry.records)
             and all(tuple(ref["loads"]) == rec.loads

@@ -252,7 +252,7 @@ def test_c07_round_robin_oscillation_and_fairness():
     # the largest capacity, so every sender loses on every step and keeps
     # max(cwnd_floor, beta * cwnd_floor) = cwnd_floor: the mean load is
     # N x cwnd_floor, whatever alpha and the RTTs are.
-    floor_load = config.num_agents * aimd.cwnd_floor * aimd.mbps_per_cwnd
+    floor_load = config.num_agents * aimd.cwnd_floor
     c.expect(aimd.initial_cwnd == aimd.cwnd_floor
              and floor_load > max(config.topology.capacities()),
              "premise: windows do not start at cwnd_floor, or N x cwnd_floor fits on a path")
@@ -370,11 +370,12 @@ def test_c15_reference_engine_equivalence():
         for agents in (1, 3, 10):
             c.expect(oracle_agrees(sim(name, agents, steps=50, seed=42)),
                      f"{name} N={agents} diverges from reference")
-        # windows that start above the floor and carry 2 Mbps each, so the
-        # scale factor on every load and the initial window are checked too
+        # windows twice the default scale that start above the floor, so a
+        # non-unit scale and the initial window are checked too
         scaled = SimConfig(topology=default_topology(), strategy=StrategyKind(name),
-                           num_agents=10, aimd=AimdParams(initial_cwnd=3.0, mbps_per_cwnd=2.0),
+                           num_agents=10,
+                           aimd=AimdParams(initial_cwnd=6.0, alpha=2.0, cwnd_floor=2.0),
                            engine=EngineParams(steps=50), seed=42)
         c.expect(oracle_agrees(run(scaled)),
-                 f"{name} N=10 with initial_cwnd 3, mbps_per_cwnd 2 diverges from reference")
+                 f"{name} N=10 with initial_cwnd 6, alpha 2, cwnd_floor 2 diverges from reference")
     c.done()

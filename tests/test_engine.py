@@ -115,8 +115,7 @@ class TestParamValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("params, field", [
         (AimdParams, "initial_cwnd"), (AimdParams, "alpha"), (AimdParams, "beta"),
-        (AimdParams, "cwnd_floor"), (AimdParams, "mbps_per_cwnd"),
-        (EngineParams, "step_ms"), (partial(StrategyKind, "epsilon_greedy"), "epsilon"),
+        (AimdParams, "cwnd_floor"), (partial(StrategyKind, "epsilon_greedy"), "epsilon"),
     ])
     def test_non_finite_rejected(self, params, field, value):
         # a NaN would otherwise pass a plain `x <= 0` check and run to a
@@ -133,13 +132,17 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             EngineParams(steps=0)
 
-    def test_queue_scale_is_not_an_option(self):
-        # the queueing term follows carried load and never fires, so its
-        # scale moved no output; the oracle's default stays readable on
-        # the class
-        with pytest.raises(TypeError, match="queue_scale_ms"):
-            EngineParams(queue_scale_ms=1.0)
-        assert EngineParams.queue_scale_ms == EngineParams().queue_scale_ms == 10.0
+    # the queueing term follows carried load and never fires, so its scale
+    # moved no output; a step length or a window's Mbps only rescales
+    # alpha, or the windows and floor. The oracle's defaults stay readable
+    # on the class and on an instance
+    @pytest.mark.parametrize("params, name, value", [
+        (EngineParams, "queue_scale_ms", 10.0), (EngineParams, "step_ms", 10.0),
+        (AimdParams, "mbps_per_cwnd", 1.0)])
+    def test_class_constant_is_not_an_option(self, params, name, value):
+        with pytest.raises(TypeError, match=name):
+            params(**{name: value})
+        assert getattr(params, name) == getattr(params(), name) == value
 
     def test_agents_positive(self):
         with pytest.raises(ValueError):
@@ -310,13 +313,10 @@ class TestAgainstOracle:
            alpha=st.floats(0.05, 4.0),
            beta=st.floats(0.05, 0.95),
            floor=st.floats(0.1, 3.0),
-           initial_cwnd=st.floats(0.1, 6.0),
-           mbps_per_cwnd=st.floats(0.1, 4.0))
+           initial_cwnd=st.floats(0.1, 6.0))
     def test_engine_matches_naive_reference(self, strategy, agents, steps, seed, epsilon,
-                                            alpha, beta, floor, initial_cwnd,
-                                            mbps_per_cwnd):
-        aimd = AimdParams(initial_cwnd=initial_cwnd, alpha=alpha, beta=beta,
-                          cwnd_floor=floor, mbps_per_cwnd=mbps_per_cwnd)
+                                            alpha, beta, floor, initial_cwnd):
+        aimd = AimdParams(initial_cwnd=initial_cwnd, alpha=alpha, beta=beta, cwnd_floor=floor)
         cfg = SimConfig(topology=default_topology(),
                         strategy=StrategyKind(strategy, epsilon=epsilon),
                         num_agents=agents, aimd=aimd, engine=EngineParams(steps=steps),
@@ -328,17 +328,13 @@ class TestInlinedPathPass:
     # step() takes each path's RTT and window increment from per-run
     # constants, the base RTT and alpha per base RTT; both must stay the
     # arithmetic of the reference's rtt_instantaneous of carried load and
-    # update_cwnd, also off the default step_ms. The queueing term follows
+    # update_cwnd, also off the default alpha. The queueing term follows
     # carried load, which never exceeds capacity, so its scale moves no RTT
-    ENGINES = [EngineParams(steps=60), EngineParams(steps=60, step_ms=3.7),
-               EngineParams(steps=60, step_ms=17.0)]
-
-    @pytest.mark.parametrize("engine", ENGINES, ids=["default", "step3.7", "step17"])
     @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
-    def test_rtts_are_rtt_instantaneous_of_carried_load(self, strategy, engine):
+    def test_rtts_are_rtt_instantaneous_of_carried_load(self, strategy):
         cfg = SimConfig(topology=default_topology(), strategy=StrategyKind(strategy),
                         num_agents=90, aimd=AimdParams(alpha=0.73, initial_cwnd=0.37),
-                        engine=engine, seed=4)
+                        engine=EngineParams(steps=60), seed=4)
         telemetry = run(cfg)
         paths = cfg.topology.paths
         for queue_scale in (0.0, 10.0, 25.0):
@@ -676,15 +672,16 @@ class TestStepContract:
 
 class TestCohortsAgainstOracle:
     # above _PLAIN_LOOP_BELOW a cohort's load goes through the binade walk;
-    # alpha, initial_cwnd and mbps_per_cwnd keep windows and loads off
-    # dyadic values, and the scale makes path 1 overflow within 30 steps
+    # alpha, initial_cwnd and the floor keep windows and loads off dyadic
+    # values, and their scale 9.1 / N makes path 1 overflow within 30 steps
     COHORT_STRATEGIES = ("min_rtt", "min_load", "attribute_aware", "blest", "round_robin")
 
     @pytest.mark.parametrize("agents", [_PLAIN_LOOP_BELOW + 1, 2000])
     @pytest.mark.parametrize("strategy", COHORT_STRATEGIES)
     def test_large_cohort_matches_oracle(self, strategy, agents):
-        aimd = AimdParams(initial_cwnd=0.37, alpha=0.73, beta=0.61, cwnd_floor=0.29,
-                          mbps_per_cwnd=9.1 / agents)
+        scale = 9.1 / agents
+        aimd = AimdParams(initial_cwnd=0.37 * scale, alpha=0.73 * scale, beta=0.61,
+                          cwnd_floor=0.29 * scale)
         cfg = SimConfig(topology=default_topology(), strategy=StrategyKind(strategy),
                         num_agents=agents, aimd=aimd, engine=EngineParams(steps=30))
         telemetry = run(cfg)
@@ -696,8 +693,9 @@ class TestCohortsAgainstOracle:
     # constants the classes' windows differ, so columns are walked
     @pytest.mark.parametrize("agents", [22, 23, 24, 47, 100, 701])
     def test_wrr_cursor_classes_match_oracle(self, agents):
-        aimd = AimdParams(initial_cwnd=0.37, alpha=0.73, beta=0.61, cwnd_floor=0.29,
-                          mbps_per_cwnd=9.1 / agents)
+        scale = 9.1 / agents
+        aimd = AimdParams(initial_cwnd=0.37 * scale, alpha=0.73 * scale, beta=0.61,
+                          cwnd_floor=0.29 * scale)
         cfg = SimConfig(topology=default_topology(),
                         strategy=StrategyKind("weighted_round_robin"),
                         num_agents=agents, aimd=aimd, engine=EngineParams(steps=30))
@@ -722,8 +720,7 @@ class TestCohortsAgainstOracle:
     # through the binade walk) end on a partial round
     @pytest.mark.parametrize("agents", [250, 701, 5000])
     def test_wrr_column_sums_with_a_partial_round_match_oracle(self, monkeypatch, agents):
-        aimd = AimdParams(initial_cwnd=0.3, alpha=0.7, beta=0.6, cwnd_floor=0.3,
-                          mbps_per_cwnd=9.1)
+        aimd = AimdParams(initial_cwnd=2.73, alpha=6.37, beta=0.6, cwnd_floor=2.73)
         cfg = SimConfig(topology=default_topology(),
                         strategy=StrategyKind("weighted_round_robin"),
                         num_agents=agents, aimd=aimd, engine=EngineParams(steps=40))
@@ -739,7 +736,7 @@ class TestCohortsAgainstOracle:
         # 23 classes of which the first agents % 23 hold one agent more;
         # each computed step sums one run per path
         assert sum(runs) == (agents - 23) * len(runs) // 3
-        assert set(telemetry.final_cwnds) == {0.3}
+        assert set(telemetry.final_cwnds) == {2.73}
         assert all(min(r.overflows) > 0 for r in telemetry.records)
         assert oracle_agrees(telemetry)
 
@@ -803,8 +800,7 @@ RNG_FREE = [StrategyKind(name) for name in STRATEGY_NAMES if name != "epsilon_gr
     StrategyKind("epsilon_greedy", epsilon=0.0)]
 # windows on dyadic values recur; off them (the third) they rarely do
 RECURRING_AIMD = [AimdParams(), AimdParams(initial_cwnd=2.0, alpha=0.5, beta=0.25, cwnd_floor=2.0),
-                  AimdParams(initial_cwnd=1.37, alpha=0.73, beta=0.61, cwnd_floor=0.29,
-                             mbps_per_cwnd=0.9)]
+                  AimdParams(initial_cwnd=1.233, alpha=0.657, beta=0.61, cwnd_floor=0.261)]
 
 
 class TestRecurrenceReplay:
@@ -819,8 +815,8 @@ class TestRecurrenceReplay:
              ("weighted_round_robin", 150), ("weighted_round_robin", 500)]
     CASES = ([(strategy, agents, AIMD, steps) for strategy, agents in CELLS for steps in (77, 301)]
              + [(strategy, agents, RECURRING_AIMD[1], 150) for strategy, agents in CELLS]
-             + [("weighted_round_robin", 1, AimdParams(mbps_per_cwnd=1000.0), steps)
-                for steps in (77, 300, 301)])
+             + [("weighted_round_robin", 1, AimdParams(initial_cwnd=1000.0, cwnd_floor=1000.0),
+                 steps) for steps in (77, 300, 301)])
 
     @pytest.mark.parametrize("strategy, agents, aimd, steps", CASES)
     def test_replayed_run_matches_oracle(self, monkeypatch, strategy, agents, aimd, steps):
@@ -1057,9 +1053,7 @@ class TestEveryOptionMovesAnOutput:
             (AimdParams, "alpha"): (few, 0.5),
             (AimdParams, "beta"): (few, 0.75),
             (AimdParams, "cwnd_floor"): (herd, 1.5),
-            (AimdParams, "mbps_per_cwnd"): (few, 2.0),
             (EngineParams, "steps"): (config("min_rtt", agents=10), 60),
-            (EngineParams, "step_ms"): (few, 5.0),
             (StrategyKind, "name"): (few, "min_load"),
             (StrategyKind, "epsilon"): (explore, 0.2),
             (SimConfig, "topology"): (few, wider),
@@ -1185,15 +1179,15 @@ class TestEpsilonPathLists:
         on_path_one = [agent.cwnd for agent in agents if agent.chosen_path == 1]
         assert on_path_one and all(cwnd == aimd.cwnd_floor for cwnd in on_path_one)
 
-    # the herd sits on the floor from N = 100 on; mbps_per_cwnd != 1
-    # makes every load a sum of products
+    # the herd sits on the floor from N = 100 on; the scaled windows keep
+    # every load off dyadic values
     @pytest.mark.parametrize("agents", [10, 100, 500])
     @pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0])
     @pytest.mark.parametrize("aimd_kind", ["default", "scaled"])
     def test_update_matches_oracle(self, aimd_kind, epsilon, agents):
+        scale = 9.1 / agents
         aimd = AIMD if aimd_kind == "default" else AimdParams(
-            initial_cwnd=0.37, alpha=0.73, beta=0.61, cwnd_floor=0.29,
-            mbps_per_cwnd=9.1 / agents)
+            initial_cwnd=0.37 * scale, alpha=0.73 * scale, beta=0.61, cwnd_floor=0.29 * scale)
         cfg = SimConfig(topology=default_topology(),
                         strategy=StrategyKind("epsilon_greedy", epsilon=epsilon),
                         num_agents=agents, aimd=aimd, engine=EngineParams(steps=60))
