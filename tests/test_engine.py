@@ -144,6 +144,16 @@ class TestParamValidation:
             params(**{name: value})
         assert getattr(params, name) == getattr(params(), name) == value
 
+    # a non-finite step or scale once had to be refused by validation; now
+    # no value of a constant reaches a run
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("params, name", [
+        (EngineParams, "queue_scale_ms"), (EngineParams, "step_ms"),
+        (AimdParams, "mbps_per_cwnd")])
+    def test_non_finite_constant_rejected(self, params, name, value):
+        with pytest.raises(TypeError, match=name):
+            params(**{name: value})
+
     def test_agents_positive(self):
         with pytest.raises(ValueError):
             config(agents=0)
@@ -329,11 +339,16 @@ class TestInlinedPathPass:
     # constants, the base RTT and alpha per base RTT; both must stay the
     # arithmetic of the reference's rtt_instantaneous of carried load and
     # update_cwnd, also off the default alpha. The queueing term follows
-    # carried load, which never exceeds capacity, so its scale moves no RTT
+    # carried load, which never exceeds capacity, so its scale moves no RTT.
+    # A step of s ms equals alpha x s / 10, so the second and third alphas
+    # are the former 3.7 ms and 17 ms steps
+    ALPHAS = [0.73, 0.73 * 3.7 / 10.0, 0.73 * 17.0 / 10.0]
+
+    @pytest.mark.parametrize("alpha", ALPHAS, ids=["alpha0.73", "alpha0.2701", "alpha1.241"])
     @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
-    def test_rtts_are_rtt_instantaneous_of_carried_load(self, strategy):
+    def test_rtts_are_rtt_instantaneous_of_carried_load(self, strategy, alpha):
         cfg = SimConfig(topology=default_topology(), strategy=StrategyKind(strategy),
-                        num_agents=90, aimd=AimdParams(alpha=0.73, initial_cwnd=0.37),
+                        num_agents=90, aimd=AimdParams(alpha=alpha, initial_cwnd=0.37),
                         engine=EngineParams(steps=60), seed=4)
         telemetry = run(cfg)
         paths = cfg.topology.paths
