@@ -49,10 +49,11 @@ periodic sequence, bit for bit the per-agent sum. From
 `_COLUMNS_FROM_ROUND` rounds on, where each path's senders share one
 window, step() adds a path's later rounds as one run, N // S - 1 per
 sender and one per sender among the first N mod S states, which
-`_repeated_add` computes in O(log count) instead of O(count). run()
-lists the final windows the same way, by tuple repetition: each state's
-one float object repeated for its agents, the S cursor classes round by
-round or the cohorts one after another, with no Python step per agent.
+`_repeated_add` computes at once where every partial sum is exact
+(windows on a coarse grid, such as at the floor). run() lists the final
+windows the same way, by tuple repetition: each state's one float
+object repeated for its agents, the S cursor classes round by round or
+the cohorts one after another, with no Python step per agent.
 
 Every other strategy keeps its agents as cohorts: the distinct windows
 with their agent counts, in ascending window order (agents with equal
@@ -79,8 +80,9 @@ is one uniform against 1 / (P - j), its load one addition. So the
 counts on each path have exactly the law of k independent agents'
 choices, and each path's load adds its share of each cohort's window.
 A share split off is a new state, built without the constructor. A
-step costs O(cohorts x P) instead of O(N): at N = 500 and epsilon 0.1
-about 5 cohorts, most agents sitting on the floor.
+step draws and updates O(cohorts x P) states instead of N agents: at
+N = 500 and epsilon 0.1 about 5 cohorts, most agents sitting on the
+floor, whose loads add at once.
 
 Recurrence: a greedy herd settles into a fixed point or a short cycle,
 and run() then stops recomputing it. Step t reads only the states'
@@ -139,17 +141,10 @@ DEFAULT_STEPS = 300
 
 _floor, _lgamma, _log, _log2, _sqrt = math.floor, math.lgamma, math.log, math.log2, math.sqrt
 
-# below this count a plain loop of additions beats the binade walk of
-# _repeated_add. Summing four non-dyadic windows from 0.0 (best of 5 x 200
-# calls, 2-vCPU x86_64 host, CPython 3.11.7), the loop against the walk
-# took 5.4-6.3 us against 5.8-8.9 us at 300 additions, 8.3-8.6 us against
-# 6.7-7.1 us at 400, and 49-52 us against 8.3-9.1 us at 2000
-_PLAIN_LOOP_BELOW = 300
 # from this count on, _repeated_add first tests whether every partial sum
 # is exact (windows on a coarse grid, such as a herd at the floor), which
 # costs about as much as this many plain additions
 _EXACT_TEST_FROM = 16
-_UNITS_PER_BINADE = 2 ** 53
 # from this many rounds of states on, weighted round robin's step() tests
 # whether each path's senders share one window before it walks the later
 # rounds state by state. Timed as run() of weighted round robin, 300 steps,
@@ -377,19 +372,8 @@ class Telemetry:
 
 def _repeated_add(total: float, x: float, count: int) -> float:
     """`total` after `count` sequential `total += x`, bit for bit, for
-    finite `total >= 0` and `x > 0`.
-
-    Inside one binade (floats of one ulp, `unit`) each addition rounds
-    `total + x` to the nearest multiple of `unit`, ties to even. Once one
-    addition has stayed inside the binade, `total` is even on a tie, and
-    every further addition that stays inside adds the same exact step,
-    `x` rounded to a multiple of `unit` with ties to even. So the walk
-    takes, per binade, the longest run of steps that stays below the
-    binade's top in one multiply, and crosses into the next binade by
-    plain additions. It never takes the step from an addition that
-    crossed a binade: that one rounds on the lower binade's grid, and the
-    parity it leaves is not yet settled.
-    """
+    finite `total >= 0` and `x >= 0`: at once where every partial sum is
+    exact, else by plain additions."""
     if count >= _EXACT_TEST_FROM:
         exact = total + count * x
         unit = math.ulp(exact)
@@ -398,25 +382,8 @@ def _repeated_add(total: float, x: float, count: int) -> float:
             # every partial sum, all below 2**53 units, hence floats, so
             # each addition is exact
             return exact
-    if count < _PLAIN_LOOP_BELOW:
-        for _ in range(count):
-            total += x
-        return total
-    while count:
-        before = total
+    for _ in range(count):
         total += x
-        count -= 1
-        unit = math.ulp(total)
-        if unit != math.ulp(before):
-            continue
-        steps = round(x / unit)
-        if not steps:
-            return total
-        # the binade spans 2**53 units from 0 (subnormals) or from its
-        # lower power of two; stay at least one unit below its top
-        leap = min(count, (_UNITS_PER_BINADE - 1 - int(total / unit)) // steps)
-        total += leap * steps * unit
-        count -= leap
     return total
 
 

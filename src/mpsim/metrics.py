@@ -9,8 +9,9 @@ refuses a score that is not finite with a ValueError that names it.
 Scoring costs O(computed steps + windows) Python steps: each
 computed record's step values are found once, and a replayed cycle's
 (`Records.parts`) added per repeat without building its copies, at once
-where all are equal (a settled herd's). A herd's final windows, all
-equal, add at once in O(log N); any others add one by one. Float sums
+where all are equal and their partial sums exact (a settled herd's at
+the floor). A herd's final windows, all equal, add at once where their
+partial sums are exact; any others add one by one. Float sums
 add in order, never by sum(), which compensates from CPython 3.12 on, so
 scores match on every interpreter.
 """
@@ -65,11 +66,10 @@ def _step_means(telemetry: Telemetry) -> tuple[float, float, float]:
         running = 0
         for v in column[:split]:
             running += v
-        # the cycle's values once per repeat; where all are equal, at once
-        # (a zero adds nothing)
+        # the cycle's values once per repeat; where all are equal, as one run
         cycle_values, repeats = column[split - period:split], cycles
         if repeats and cycle_values.count(v) == period and 0.0 <= v < math.inf:
-            running, repeats = _repeated_add(running, v, cycles * period) if v else running, 0
+            running, repeats = _repeated_add(running, v, cycles * period), 0
         for v in cycle_values * repeats + column[split:]:
             running += v
         means.append(running / (len(values) + cycles * period))
@@ -109,7 +109,7 @@ def jain_fairness(final_cwnds: Sequence[float]) -> float:
     """Jain's index (sum x)^2 / (n * sum x^2), from 1/n up to 1.0, both sums
     added value by value. A settled herd's windows, all equal to one
     positive float with a finite nonzero square, take one _repeated_add
-    per sum: the same floats in O(log n) Python steps."""
+    per sum: the same floats, at once where every partial sum is exact."""
     if not final_cwnds:
         raise ValueError("need at least one value")
     n, first = len(final_cwnds), final_cwnds[0]

@@ -26,7 +26,6 @@ from mpsim import (
     wrr_schedule,
 )
 from mpsim.engine import (
-    _PLAIN_LOOP_BELOW,
     Records,
     StepRecord,
     Telemetry,
@@ -418,10 +417,23 @@ class TestRepeatedAdd:
                st.tuples(st.floats(0.0, 1e6), st.floats(1e-3, 1e3)),
                st.tuples(st.integers(0, 10**6).map(float),
                          st.sampled_from([0.1, 0.2, 0.3, 0.84, 1.0, 1.2, 1.0 / 3, 0.125]))),
-           count=st.one_of(st.integers(0, 2 * _PLAIN_LOOP_BELOW), st.integers(0, 10**5)))
+           count=st.one_of(st.integers(0, 600), st.integers(0, 10**5)))
     def test_matches_sequential_additions(self, case, count):
         total, x = case
         assert _repeated_add(total, x, count) == plain_repeated_add(total, x, count)
+
+    def test_exact_runs_add_at_once(self, monkeypatch):
+        # the benchmark's long runs (a herd at the floor, a zero step
+        # value over a kept cycle) must not fall back to one addition each
+        def no_loop(*args):
+            raise AssertionError("added one by one")
+
+        monkeypatch.setattr(mpsim.engine, "range", no_loop, raising=False)
+        assert _repeated_add(0.0, 1.0, 10**12) == 1e12
+        assert _repeated_add(23.0, 1.0, 2000) == 2023.0
+        assert _repeated_add(0.0, 0.0, 298) == 0.0
+        with pytest.raises(AssertionError, match="one by one"):
+            _repeated_add(0.0, 0.1, 20)
 
 
 def computed_steps(monkeypatch, cfg):
@@ -686,12 +698,13 @@ class TestStepContract:
 
 
 class TestCohortsAgainstOracle:
-    # above _PLAIN_LOOP_BELOW a cohort's load goes through the binade walk;
-    # alpha, initial_cwnd and the floor keep windows and loads off dyadic
-    # values, and their scale 9.1 / N makes path 1 overflow within 30 steps
+    # a cohort's load is a long sum of one window that is not exact, added
+    # one by one; alpha, initial_cwnd and the floor keep windows and loads
+    # off dyadic values, and their scale 9.1 / N makes path 1 overflow
+    # within 30 steps
     COHORT_STRATEGIES = ("min_rtt", "min_load", "attribute_aware", "blest", "round_robin")
 
-    @pytest.mark.parametrize("agents", [_PLAIN_LOOP_BELOW + 1, 2000])
+    @pytest.mark.parametrize("agents", [301, 2000])
     @pytest.mark.parametrize("strategy", COHORT_STRATEGIES)
     def test_large_cohort_matches_oracle(self, strategy, agents):
         scale = 9.1 / agents
@@ -731,8 +744,8 @@ class TestCohortsAgainstOracle:
     # rounds on adds each path's agents after the first round as one run,
     # one per state per later round and one per state among the first N
     # mod 23. N = 250 (10 rounds and 20 more
-    # states), 701 (30 rounds and 11) and 5000 (217 rounds and 9, run
-    # through the binade walk) end on a partial round
+    # states), 701 (30 rounds and 11) and 5000 (217 rounds and 9, long
+    # runs that are not exact, added one by one) end on a partial round
     @pytest.mark.parametrize("agents", [250, 701, 5000])
     def test_wrr_column_sums_with_a_partial_round_match_oracle(self, monkeypatch, agents):
         aimd = AimdParams(initial_cwnd=2.73, alpha=6.37, beta=0.6, cwnd_floor=2.73)
