@@ -26,11 +26,8 @@ from .experiment import (
 )
 from .metrics import (
     AxiomScores,
-    efficiency,
     jain_fairness,
-    loss,
     loss_avoidance,
-    oscillation,
     score,
     stability,
 )

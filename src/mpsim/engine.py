@@ -115,8 +115,8 @@ Epsilon-greedy at epsilon > 0 is excluded: the run's rng is part of
 its state, and its stream never repeats within a run.
 
 Runs are pure functions of their SimConfig: all randomness flows from
-the config seed through one stream per run, seeded from the seed's
-string (so seeds s and -s draw apart).
+the config seed through one stream per run, seeded from the integer
+seed's string (so seeds s and -s draw apart).
 """
 
 from __future__ import annotations
@@ -158,13 +158,12 @@ _EXACT_TEST_FROM = 16
 _COLUMNS_FROM_ROUND = 10
 
 
-def _index(owner, name: str) -> None:
-    """Store `owner`'s field `name` as what operator.index makes of it;
-    refuse a bool, which operator.index takes but is not a count."""
-    value = getattr(owner, name)
+def _index(value, name: str) -> int:
+    """What operator.index makes of `value`, the count or seed `name`;
+    refuse a bool, which operator.index takes but is neither."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
-    object.__setattr__(owner, name, operator.index(value))
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -203,7 +202,7 @@ class EngineParams:
     queue_scale_ms: ClassVar[float] = 10.0
 
     def __post_init__(self):
-        _index(self, "steps")
+        object.__setattr__(self, "steps", _index(self.steps, "steps"))
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 
@@ -237,17 +236,15 @@ class SimConfig:
     aimd: AimdParams = AimdParams()
     engine: EngineParams = EngineParams()
     seed: int = 0
-    forbidden_tags: frozenset[str] = frozenset({HIGH_COST_TAG})
+    # not an option: a topology's tags carry the policy; tag a path high-cost to forbid it
+    forbidden_tags: ClassVar[frozenset[str]] = frozenset({HIGH_COST_TAG})
 
     def __post_init__(self):
-        _index(self, "num_agents")
+        object.__setattr__(self, "num_agents", _index(self.num_agents, "num_agents"))
         if self.num_agents < 1:
             raise ValueError("num_agents must be >= 1")
-        # frozenset("high-cost") would be a set of characters
-        tags = frozenset(self.forbidden_tags)
-        if isinstance(self.forbidden_tags, str) or not all(isinstance(tag, str) for tag in tags):
-            raise TypeError("forbidden_tags must be a collection of str tags")
-        object.__setattr__(self, "forbidden_tags", tags)
+        # the run's stream is seeded from str(seed): 1, 1.0 and True would draw apart
+        object.__setattr__(self, "seed", _index(self.seed, "seed"))
 
     @cached_property
     def _constants(self) -> tuple:

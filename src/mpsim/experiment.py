@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
-from .engine import DEFAULT_STEPS, EngineParams, SimConfig, run
+from .engine import DEFAULT_STEPS, EngineParams, SimConfig, _index, run
 from .metrics import score
 from .strategy import STRATEGY_NAMES, StrategyKind
 from .topology import Topology
@@ -73,8 +73,9 @@ def all_strategies() -> tuple[StrategyKind, ...]:
 
 
 def cell_seed(seed: int, strategy_label: str, agents: int) -> int:
-    """Stable per-cell seed so cells are independent and reorderable."""
-    digest = hashlib.sha256(f"{seed}:{strategy_label}:{agents}".encode()).digest()
+    """Stable per-cell seed so cells are independent and reorderable. The
+    seed must be an integer, as SimConfig's: 1.0 and True would label apart."""
+    digest = hashlib.sha256(f"{_index(seed, 'seed')}:{strategy_label}:{agents}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -100,11 +101,10 @@ def sweep_agents(spec: SweepSpec) -> list[SummaryRow]:
 def sweep_epsilon(epsilons, agents: int, topology: Topology,
                   steps: int = DEFAULT_STEPS, seed: int = 0) -> list[EpsilonPoint]:
     """Efficiency/loss of epsilon-greedy across an exploration grid."""
-    epsilons = tuple(epsilons)
-    rows = [_run_cell(topology, StrategyKind("epsilon_greedy", epsilon=eps),
-                      f"epsilon_greedy[{eps}]", agents, steps, seed)
-            for eps in epsilons]
-    return [EpsilonPoint(eps, *_epsilon_scores(row)) for eps, row in zip(epsilons, rows)]
+    kinds = [StrategyKind("epsilon_greedy", epsilon=eps) for eps in epsilons]
+    rows = [_run_cell(topology, kind, f"epsilon_greedy[{kind.epsilon}]", agents, steps, seed)
+            for kind in kinds]
+    return [EpsilonPoint(kind.epsilon, *_epsilon_scores(row)) for kind, row in zip(kinds, rows)]
 
 
 def _format_value(value, raw: bool) -> str:

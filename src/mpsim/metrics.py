@@ -76,21 +76,6 @@ def _step_means(telemetry: Telemetry) -> tuple[float, float, float]:
     return tuple(means)
 
 
-def efficiency(telemetry: Telemetry) -> float:
-    """Mean over steps of the total sent load, in Mbps."""
-    return _step_means(telemetry)[0]
-
-
-def loss(telemetry: Telemetry) -> float:
-    """Mean over steps of the total overflow, in Mbps."""
-    return _step_means(telemetry)[1]
-
-
-def oscillation(telemetry: Telemetry) -> float:
-    """Mean over steps of the population std of load across paths."""
-    return _step_means(telemetry)[2]
-
-
 def stability(oscillation_mbps: float) -> float:
     """1/(1+oscillation): 1.0 for a perfectly steady load split."""
     if oscillation_mbps < 0:

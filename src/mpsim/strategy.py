@@ -42,8 +42,12 @@ class StrategyKind:
             raise ValueError(
                 f"unknown strategy {self.name!r}; valid names: {', '.join(STRATEGY_NAMES)}"
             )
+        if isinstance(self.epsilon, bool):
+            raise TypeError("epsilon must be a number, not bool")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
+        # a float, so that sweep_epsilon labels 1 and 1.0 alike
+        object.__setattr__(self, "epsilon", float(self.epsilon))
 
 
 def select_min_rtt(rtts: Sequence[float]) -> int:

@@ -133,15 +133,20 @@ class TestParamValidation:
 
     # the queueing term follows carried load and never fires, so its scale
     # moved no output; a step length or a window's Mbps only rescales
-    # alpha, or the windows and floor. The oracle's defaults stay readable
-    # on the class and on an instance
+    # alpha, or the windows and floor; forbidding tags only relabels paths
+    # the topology tags. The oracle's defaults stay readable on the class
+    # and on an instance
     @pytest.mark.parametrize("params, name, value", [
         (EngineParams, "queue_scale_ms", 10.0), (EngineParams, "step_ms", 10.0),
-        (AimdParams, "mbps_per_cwnd", 1.0)])
+        (AimdParams, "mbps_per_cwnd", 1.0),
+        pytest.param(partial(SimConfig, default_topology(), StrategyKind("attribute_aware"), 10),
+                     "forbidden_tags", frozenset({HIGH_COST_TAG}),
+                     id="SimConfig-forbidden_tags-high-cost")])
     def test_class_constant_is_not_an_option(self, params, name, value):
         with pytest.raises(TypeError, match=name):
             params(**{name: value})
-        assert getattr(params, name) == getattr(params(), name) == value
+        owner = getattr(params, "func", params)
+        assert getattr(owner, name) == getattr(params(), name) == value
 
     # a non-finite step or scale once had to be refused by validation; now
     # no value of a constant reaches a run
@@ -169,39 +174,23 @@ class TestParamValidation:
         with pytest.raises(TypeError, match="num_agents must be an integer"):
             config(agents=value)
 
+    # the stream is seeded from str(seed): seeds 1, 1.0 and True, equal
+    # configs, ran epsilon-greedy apart, and "x" and None ran silently
+    @pytest.mark.parametrize("value", [1.0, True, "1", None])
+    def test_seed_must_be_an_integer(self, value):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            config("epsilon_greedy", seed=value)
+
     def test_counts_accept_what_operator_index_accepts(self):
         import numpy as np
 
         engine = EngineParams(steps=np.int64(7))
         cfg = SimConfig(topology=default_topology(), strategy=StrategyKind("min_rtt"),
-                        num_agents=np.int32(3), engine=engine)
+                        num_agents=np.int32(3), engine=engine, seed=np.int64(5))
         assert type(engine.steps) is int and engine.steps == 7
         assert type(cfg.num_agents) is int and cfg.num_agents == 3
+        assert type(cfg.seed) is int and cfg.seed == 5
         assert len(run(cfg).records) == 7
-
-    # frozenset("high-cost") is a set of characters, which forbids no
-    # tag: on a topology whose fastest path is high-cost, the whole herd
-    # took it
-    @pytest.mark.parametrize("tags", ["high-cost", ""])
-    def test_forbidden_tags_refuse_a_str(self, tags):
-        with pytest.raises(TypeError, match="forbidden_tags"):
-            dataclasses.replace(config(), forbidden_tags=tags)
-
-    @pytest.mark.parametrize("tags", [[1], ("high-cost", None), [b"high-cost"]])
-    def test_forbidden_tags_refuse_a_non_str_member(self, tags):
-        with pytest.raises(TypeError, match="forbidden_tags"):
-            dataclasses.replace(config(), forbidden_tags=tags)
-
-    @pytest.mark.parametrize("tags", [["high-cost"], ("high-cost",), {"high-cost"},
-                                      (tag for tag in ["high-cost"])])
-    def test_forbidden_tags_are_stored_as_a_frozenset(self, tags):
-        topology = Topology("tagged", (PathSpec(1, 50.0, 10.0, frozenset({"high-cost"})),
-                                       PathSpec(2, 50.0, 30.0)))
-        cfg = dataclasses.replace(config("attribute_aware", steps=3, topology=topology),
-                                  forbidden_tags=tags)
-        assert type(cfg.forbidden_tags) is frozenset and cfg.forbidden_tags == {"high-cost"}
-        assert hash(cfg) == hash(dataclasses.replace(cfg, forbidden_tags={"high-cost"}))
-        assert [record.loads for record in run(cfg).records[:1]] == [(0.0, 10.0)]
 
     def test_path_attributes_given_as_a_list_keep_a_config_hashable(self):
         # a list of tags was kept as is and made the config unhashable
@@ -601,16 +590,14 @@ class TestStepContract:
         rtt = st.sampled_from([15.0, 20.0, 20.5, 1e3])
         base = column(rtt)
         loads = column(st.sampled_from([0.0, 3.5, 3.5000000000000004, 40.0]))
-        tags = column(st.sets(st.sampled_from(["high-cost", "metered", "x"]), max_size=2))
-        forbidden = data.draw(st.frozensets(st.sampled_from(["high-cost", "metered"])))
+        tags = column(st.sets(st.sampled_from([HIGH_COST_TAG, "metered", "x"]), max_size=2))
         topology = Topology("drawn", tuple(PathSpec(i + 1, 50.0, b, frozenset(t))
                                            for i, (b, t) in enumerate(zip(base, tags))))
         every = range(path_count)
-        allowed = [i for i in every if not tags[i] & forbidden]
+        allowed = [i for i in every if HIGH_COST_TAG not in tags[i]]
         for name, admissible in (("min_rtt", every), ("blest", every),
                                  ("epsilon_greedy", every), ("attribute_aware", allowed)):
-            cfg = dataclasses.replace(config(name, agents=3, steps=4, epsilon=0.0,
-                                             topology=topology), forbidden_tags=forbidden)
+            cfg = config(name, agents=3, steps=4, epsilon=0.0, topology=topology)
             if not admissible:
                 with pytest.raises(ValueError, match="no admissible path"):
                     run(cfg)
@@ -1072,9 +1059,6 @@ class TestEveryOptionMovesAnOutput:
         herd = config("min_rtt", agents=90, steps=60)
         few = config("min_rtt", agents=10, steps=60)
         explore = config("epsilon_greedy", agents=90, steps=60, epsilon=0.1)
-        tagged = Topology("tagged-min-rtt", (PathSpec(1, 50.0, 20.0, frozenset({HIGH_COST_TAG})),
-                                             PathSpec(2, 100.0, 50.0)))
-        aware = config("attribute_aware", agents=90, steps=60, topology=tagged)
         wider = Topology("wider-path-1", (PathSpec(1, 60.0, 20.0),) + default_topology().paths[1:])
         return {
             (AimdParams, "initial_cwnd"): (few, 2.0),
@@ -1087,7 +1071,6 @@ class TestEveryOptionMovesAnOutput:
             (SimConfig, "topology"): (few, wider),
             (SimConfig, "num_agents"): (few, 11),
             (SimConfig, "seed"): (explore, 1),
-            (SimConfig, "forbidden_tags"): (aware, frozenset()),
         }
 
     @pytest.mark.parametrize("owner, name", OPTIONS,

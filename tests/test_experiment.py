@@ -86,6 +86,20 @@ class TestSweepAgents:
         with pytest.raises(ValueError):
             small_spec(agent_counts=())
 
+    # a cell's seed hashes the sweep seed's string: SweepSpec(seed=1) and
+    # SweepSpec(seed=1.0) compared equal and swept different rows
+    @pytest.mark.parametrize("seed", [1.0, True, "1", None])
+    def test_a_non_integer_seed_is_refused(self, seed):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            cell_seed(seed, "min_rtt", 10)
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            sweep_agents(small_spec(seed=seed))
+
+    def test_an_integer_seed_of_another_type_seeds_as_its_int(self):
+        import numpy as np
+
+        assert cell_seed(np.int64(3), "min_rtt", 10) == cell_seed(3, "min_rtt", 10)
+
 
 def test_import_loads_no_process_pool():
     # mpsim runs its cells in the calling process, so importing it must
@@ -104,6 +118,21 @@ class TestSweepEpsilon:
         points = sweep_epsilon((0.0, 0.1, 0.2, 0.3, 0.4, 0.5), 20,
                                default_topology(), steps=STEPS)
         assert [p.epsilon for p in points] == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+
+    def test_int_and_float_epsilons_sweep_alike(self):
+        # cells were labelled by the value as given, so epsilon 1 drew
+        # apart from 1.0
+        ints = sweep_epsilon([0, 1], 20, default_topology(), steps=STEPS)
+        floats = sweep_epsilon([0.0, 1.0], 20, default_topology(), steps=STEPS)
+        assert emit_epsilon(ints, raw=True) == emit_epsilon(floats, raw=True)
+        assert [type(point.epsilon) for point in ints] == [float, float]
+
+    def test_strategy_kind_stores_a_float_epsilon_and_refuses_a_bool(self):
+        # True equals 1, so it would be an equal kind that labels apart
+        kind = StrategyKind("epsilon_greedy", epsilon=1)
+        assert type(kind.epsilon) is float and kind == StrategyKind("epsilon_greedy", 1.0)
+        with pytest.raises(TypeError, match="epsilon must be a number, not bool"):
+            StrategyKind("epsilon_greedy", epsilon=True)
 
     def test_csv_shape(self):
         points = sweep_epsilon((0.0, 0.5), 20, default_topology(), steps=STEPS)

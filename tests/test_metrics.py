@@ -17,11 +17,8 @@ from mpsim import (
     Telemetry,
     Topology,
     default_topology,
-    efficiency,
     jain_fairness,
-    loss,
     loss_avoidance,
-    oscillation,
     run,
     score,
     stability,
@@ -46,37 +43,38 @@ def synthetic(loads_per_step, cwnds=(1.0, 1.0)):
 class TestEfficiency:
     def test_mean_of_totals(self):
         t = synthetic([(10.0, 20.0, 30.0), (20.0, 20.0, 20.0)])
-        assert efficiency(t) == 60.0
+        assert score(t).efficiency == 60.0
 
     def test_all_zero(self):
         t = synthetic([(0.0, 0.0, 0.0)])
-        assert efficiency(t) == 0.0
+        assert score(t).efficiency == 0.0
 
 
 class TestLoss:
     def test_no_overflow(self):
         t = synthetic([(10.0, 20.0, 30.0)])
-        assert loss(t) == 0.0
+        assert score(t).loss == 0.0
 
     def test_mean_of_overflow_totals(self):
         t = synthetic([(60.0, 0.0, 0.0), (0.0, 105.0, 0.0)])
-        assert loss(t) == pytest.approx(7.5)
+        assert score(t).loss == pytest.approx(7.5)
 
 
 class TestOscillation:
     def test_identical_loads_zero(self):
         t = synthetic([(5.0, 5.0, 5.0), (9.0, 9.0, 9.0)])
-        assert oscillation(t) == 0.0
+        assert score(t).oscillation == 0.0
 
     def test_concentrated_load_closed_form(self):
         t = synthetic([(1000.0, 0.0, 0.0)] * 4)
-        assert oscillation(t) == pytest.approx(1000.0 * math.sqrt(2.0) / 3.0)
-        assert round(oscillation(t), 2) == 471.40
+        oscillation = score(t).oscillation
+        assert oscillation == pytest.approx(1000.0 * math.sqrt(2.0) / 3.0)
+        assert round(oscillation, 2) == 471.40
 
     @pytest.mark.parametrize("level", [1.0, 37.5, 500.0])
     def test_two_path_closed_form(self, level):
         t = synthetic([(level, level, 0.0)] * 3)
-        assert oscillation(t) == pytest.approx(level * math.sqrt(2.0) / 3.0, abs=1e-9)
+        assert score(t).oscillation == pytest.approx(level * math.sqrt(2.0) / 3.0, abs=1e-9)
 
 
 class TestBoundedScores:
@@ -239,18 +237,14 @@ def scored_telemetry(request):
 
 class TestOnePassScore:
     # score() reads the records once for efficiency, loss and oscillation;
-    # the results must be bit for bit those of the separate functions and
-    # of the per-step formulas summed in step order
-    def test_fields_equal_public_functions(self, scored_telemetry):
-        s = score(scored_telemetry)
-        assert s.efficiency == efficiency(scored_telemetry)
-        assert s.loss == loss(scored_telemetry)
-        assert s.oscillation == oscillation(scored_telemetry)
-        assert s.fairness == jain_fairness(scored_telemetry.final_cwnds)
+    # the means must be bit for bit the per-step formulas summed in step
+    # order, and fairness jain_fairness's
+    def test_fairness_equals_public_function(self, scored_telemetry):
+        assert score(scored_telemetry).fairness == jain_fairness(scored_telemetry.final_cwnds)
 
     def test_means_equal_per_step_formulas(self, scored_telemetry):
-        assert (efficiency(scored_telemetry), loss(scored_telemetry),
-                oscillation(scored_telemetry)) == reference_means(scored_telemetry)
+        s = score(scored_telemetry)
+        assert (s.efficiency, s.loss, s.oscillation) == reference_means(scored_telemetry)
 
     @given(st.lists(st.tuples(*[st.floats(0.0, 1e6)] * 3), min_size=1, max_size=40))
     def test_synthetic_means_equal_per_step_formulas(self, loads_per_step):
@@ -261,7 +255,7 @@ class TestOnePassScore:
     def test_sums_add_in_order_on_every_interpreter(self):
         # in order, 1e16 + 1.0 rounds back to 1e16 twice; a compensated
         # sum (sum() from CPython 3.12 on) would keep the 2.0
-        assert efficiency(synthetic([(1e16, 1.0, 1.0)])) == 1e16
+        assert score(synthetic([(1e16, 1.0, 1.0)])).efficiency == 1e16
         assert jain_fairness([1e16, 1.0, 1.0]) == 1e32 / (3 * 1e32)
 
     def test_no_paths_rejected(self):
@@ -359,7 +353,7 @@ class TestReuse:
                                StepRecord(1, loads, second, rtts),
                                StepRecord(2, loads, first, rtts)),
                       final_cwnds=t.final_cwnds, config=t.config)
-        assert loss(t) == (10.0 + 2.5 + 10.0) / 3
+        assert score(t).loss == (10.0 + 2.5 + 10.0) / 3
         assert score(t) == score(fresh_copy(t))
 
     def test_overflow_error_names_the_first_step_whose_spread_overflows(self):
